@@ -7,7 +7,8 @@ Commands:
     selfcheck             run the oracle-equivalence grid
 
 Exit codes: 0 success, 1 selfcheck tolerance breach, 2 configuration or
-input error, 3 numerical/truncation failure.  The JUMPSQUEEZE_OUT
+input error (including unreadable input files and unwritable output),
+3 numerical/truncation failure.  The JUMPSQUEEZE_OUT
 environment variable overrides the configured output directory; --out
 overrides both.
 """
@@ -23,7 +24,7 @@ from . import fock
 from .bogoliubov import ln_u_plus_v, squeeze_params_from_pair
 from .config import load_config
 from .constants import TWO_PI
-from .errors import ConfigError, CutoffError, TruncationError
+from .errors import ConfigError, TruncationError
 from .figures import FIGURE_IDS, build_spec, emit_csv, emit_plot_script, generate
 from .protocol import SCHEMA_VERSION, load_protocol, run_fock
 from .selfcheck import run_selfcheck
@@ -156,13 +157,10 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         return args.func(args, config)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, CutoffError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except ValueError as exc:  # TruncationError and CutoffError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .constants import HBAR, RB85_MASS, TWO_PI
-from .errors import ConfigError
-from .figures import DEFAULT_CONSTANTS, FIGURE_IDS
+from .errors import ConfigError, check_number
+from .figures import CONSTANT_MINIMUMS, DEFAULT_CONSTANTS, FIGURE_IDS
 from .lattice import TrapParams
 from .spectroscopy import RabiParams
 
@@ -70,17 +70,6 @@ class Config:
     selfcheck: Dict[str, object]
 
 
-def _check_number(value, where, minimum=None, strict=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if minimum is not None:
-        if strict and not value > minimum:
-            raise ConfigError(f"{where}: must be > {minimum}, got {value}")
-        if not strict and not value >= minimum:
-            raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    return float(value)
-
-
 def _merge(defaults, overrides, where):
     if not isinstance(overrides, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -107,35 +96,35 @@ def parse_config(doc):
     rabi_doc = _merge(defaults["rabi"], top["rabi"], "config.rabi")
 
     trap = TrapParams(
-        omega1=TWO_PI * _check_number(trap_doc["omega1_hz"],
-                                      "trap.omega1_hz", 0, strict=True),
-        omega2=TWO_PI * _check_number(trap_doc["omega2_hz"],
-                                      "trap.omega2_hz", 0, strict=True),
-        mass=_check_number(trap_doc["mass_kg"], "trap.mass_kg", 0, strict=True),
-        lattice_wavenumber=_check_number(
+        omega1=TWO_PI * check_number(trap_doc["omega1_hz"],
+                                     "trap.omega1_hz", 0, strict=True),
+        omega2=TWO_PI * check_number(trap_doc["omega2_hz"],
+                                     "trap.omega2_hz", 0, strict=True),
+        mass=check_number(trap_doc["mass_kg"], "trap.mass_kg", 0, strict=True),
+        lattice_wavenumber=check_number(
             trap_doc["lattice_wavenumber_per_m"],
             "trap.lattice_wavenumber_per_m", 0, strict=True),
-        V0=TWO_PI * HBAR * _check_number(trap_doc["v0_hz"],
-                                         "trap.v0_hz", 0, strict=True),
-        calibration=_check_number(trap_doc["calibration"],
-                                  "trap.calibration", 0, strict=True),
+        V0=TWO_PI * HBAR * check_number(trap_doc["v0_hz"],
+                                        "trap.v0_hz", 0, strict=True),
+        calibration=check_number(trap_doc["calibration"],
+                                 "trap.calibration", 0, strict=True),
     )
     n_max = rabi_doc["n_max"]
     if isinstance(n_max, bool) or not isinstance(n_max, int):
         raise ConfigError(f"rabi.n_max: expected an integer, got {n_max!r}")
     rabi = RabiParams(
-        omega01=TWO_PI * _check_number(rabi_doc["omega01_hz"],
-                                       "rabi.omega01_hz", 0, strict=True),
-        gamma=_check_number(rabi_doc["gamma_per_s"], "rabi.gamma_per_s", 0),
-        pulse_t=_check_number(rabi_doc["pulse_t_s"],
-                              "rabi.pulse_t_s", 0, strict=True),
+        omega01=TWO_PI * check_number(rabi_doc["omega01_hz"],
+                                      "rabi.omega01_hz", 0, strict=True),
+        gamma=check_number(rabi_doc["gamma_per_s"], "rabi.gamma_per_s", 0),
+        pulse_t=check_number(rabi_doc["pulse_t_s"],
+                             "rabi.pulse_t_s", 0, strict=True),
         n_max=n_max,
     )
 
     fock_dim = top["fock_dim"]
     if isinstance(fock_dim, bool) or not isinstance(fock_dim, int) or fock_dim < 2:
         raise ConfigError(f"fock_dim: expected an integer >= 2, got {fock_dim!r}")
-    nbar0 = _check_number(top["nbar0"], "nbar0", 0)
+    nbar0 = check_number(top["nbar0"], "nbar0", 0)
     if not isinstance(top["output_dir"], str) or not top["output_dir"]:
         raise ConfigError("output_dir: expected a nonempty string")
 
@@ -150,7 +139,8 @@ def parse_config(doc):
     for fig, over in overrides_doc.items():
         _merge(DEFAULT_CONSTANTS[fig], over, f"figure_overrides.{fig}")
         for key, value in over.items():
-            _check_number(value, f"figure_overrides.{fig}.{key}")
+            check_number(value, f"figure_overrides.{fig}.{key}",
+                         *CONSTANT_MINIMUMS.get(key, ()))
         figure_overrides[fig] = dict(over)
 
     selfcheck_doc = _merge(defaults["selfcheck"], top["selfcheck"],
@@ -158,15 +148,14 @@ def parse_config(doc):
     for key in ("element_r_values", "element_alpha_values",
                 "state_amplitudes"):
         values = selfcheck_doc[key]
-        if (not isinstance(values, list) or not values
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in values)):
+        if not isinstance(values, list) or not values:
             raise ConfigError(f"selfcheck.{key}: expected a nonempty list "
                               f"of numbers")
-        selfcheck_doc[key] = [float(v) for v in values]
+        selfcheck_doc[key] = [check_number(v, f"selfcheck.{key}[{i}]")
+                              for i, v in enumerate(values)]
     selfcheck_doc["element_n_max"] = int(
-        _check_number(selfcheck_doc["element_n_max"], "selfcheck.element_n_max", 1))
-    selfcheck_doc["alpha_i"] = _check_number(
+        check_number(selfcheck_doc["element_n_max"], "selfcheck.element_n_max", 1))
+    selfcheck_doc["alpha_i"] = check_number(
         selfcheck_doc["alpha_i"], "selfcheck.alpha_i", 0)
 
     return Config(trap=trap, rabi=rabi, fock_dim=fock_dim, nbar0=nbar0,
@@ -184,6 +173,6 @@ def load_config(path=None):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"malformed config JSON: {exc}") from exc
     return parse_config(doc)

@@ -7,3 +7,8 @@ ATOMIC_MASS = 1.66053906660e-27  # unified atomic mass unit, kg
 RB85_MASS = 84.911789738 * ATOMIC_MASS  # kg
 
 TWO_PI = 2.0 * math.pi
+
+# Largest squeeze amplitude |r| and displacement |alpha| either backend
+# accepts.
+MAX_SQUEEZE_AMPLITUDE = 3.0
+MAX_DISPLACEMENT = 6.0

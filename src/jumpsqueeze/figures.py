@@ -60,6 +60,15 @@ DEFAULT_CONSTANTS = {
               "two_r_max": 2.0, "points": 41},
 }
 
+# Lower bound (minimum, strict) of each figure constant that has one; every
+# constant must also be finite.
+CONSTANT_MINIMUMS = {
+    "points": (1,), "n_jumps_max": (1,), "fock_dim": (2,), "nbar0": (0,),
+    "periods": (0, True), "points_per_period": (0, True),
+    "envelope_tau_s": (0, True), "decay_time_s": (0, True),
+    "calibration": (0, True), "squeeze_factor": (0, True),
+}
+
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -154,99 +163,81 @@ def _displaced_thermal_R(alpha, nbar0, rabi):
     return sideband_populations(dist, rabi).R
 
 
-def _thermal_baseline_R(nbar0, rabi):
-    return _squeezed_thermal_R(0.0, nbar0, rabi)
+def _enveloped(spec, raw, times, rule, tau_key="envelope_tau_s"):
+    """Apply the decay envelope about the ``rule`` baseline: "thermal"
+    (the unsqueezed thermal R) or "time-average" (the mean of ``raw``).
+    Returns the enveloped column and its metadata."""
+    if rule == "thermal":
+        baseline = _squeezed_thermal_R(0.0, spec.constants["nbar0"], spec.rabi)
+    else:
+        baseline = float(raw.mean())
+    env = baseline + (raw - baseline) * np.exp(
+        -times / spec.constants[tau_key])
+    return env, {"envelope_baseline_R": baseline, "baseline_rule": rule}
 
 
-def _envelope(raw, times, tau_env, baseline):
-    return baseline + (np.asarray(raw) - baseline) * np.exp(
-        -np.asarray(times) / tau_env)
+def _squeeze_sweep(spec, protocol_at):
+    """Run ``protocol_at(x)`` on the symplectic backend for every sweep
+    value x; returns the columns r_eff, R (thermal input) and elapsed."""
+    nbar0, rabi = spec.constants["nbar0"], spec.rabi
+    r_eff, r_raw, elapsed = [], [], []
+    for x in spec.sweep:
+        res = run_symplectic(protocol_at(x), spec.trap)
+        r = squeeze_params_from_pair(res.pair).r
+        r_eff.append(r)
+        r_raw.append(_squeezed_thermal_R(r, nbar0, rabi))
+        elapsed.append(res.elapsed)
+    return np.array(r_eff), np.array(r_raw), np.array(elapsed)
 
 
 def _gen_fig2a(spec):
-    trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0 = c["nbar0"]
-    baseline = _thermal_baseline_R(nbar0, rabi)
-    r_raw, nst, dnst, elapsed = [], [], [], []
-    for two_r in spec.sweep:
-        proto = builtin_protocol("S_minus_2r", trap, r=two_r / 2.0) \
-            if two_r > 0 else Protocol(trap.omega1, ())
-        res = run_symplectic(proto, trap)
-        r_eff = squeeze_params_from_pair(res.pair).r
-        r_raw.append(_squeezed_thermal_R(r_eff, nbar0, rabi))
-        moments = squeezed_thermal_moments(nbar0, r_eff)
-        nst.append(moments.nbar_st)
-        dnst.append(moments.dnbar_st)
-        elapsed.append(res.elapsed)
-    r_raw = np.array(r_raw)
-    env = _envelope(r_raw, elapsed, c["envelope_tau_s"], baseline)
+    trap, nbar0 = spec.trap, spec.constants["nbar0"]
+
+    def protocol_at(two_r):
+        if two_r > 0:
+            return builtin_protocol("S_minus_2r", trap, r=two_r / 2.0)
+        return Protocol(trap.omega1, ())
+
+    r_eff, r_raw, elapsed = _squeeze_sweep(spec, protocol_at)
+    env, meta = _enveloped(spec, r_raw, elapsed, "thermal")
+    moments = [squeezed_thermal_moments(nbar0, r) for r in r_eff]
     cols = {"two_r": spec.sweep, "R": r_raw, "R_enveloped": env,
-            "nbar_st": np.array(nst), "dnbar_st": np.array(dnst),
-            "elapsed_s": np.array(elapsed)}
-    meta = {"envelope_baseline_R": baseline, "baseline_rule": "thermal"}
+            "nbar_st": np.array([m.nbar_st for m in moments]),
+            "dnbar_st": np.array([m.dnbar_st for m in moments]),
+            "elapsed_s": elapsed}
     return cols, meta
 
 
 def _gen_fig2a_inset(spec):
-    trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0, r_jump = c["nbar0"], c["r_per_jump"]
-    baseline = _thermal_baseline_R(nbar0, rabi)
-    r_raw, r_tot, elapsed = [], [], []
-    for n_jumps in spec.sweep.astype(int):
-        proto = builtin_protocol("multi_jump", trap, n_jumps=int(n_jumps),
-                                 r=r_jump)
-        res = run_symplectic(proto, trap)
-        r_eff = squeeze_params_from_pair(res.pair).r
-        r_tot.append(r_eff)
-        r_raw.append(_squeezed_thermal_R(r_eff, nbar0, rabi))
-        elapsed.append(res.elapsed)
-    env = _envelope(r_raw, elapsed, c["envelope_tau_s"], baseline)
-    cols = {"n_jumps": spec.sweep, "r_total": np.array(r_tot),
-            "R": np.array(r_raw), "R_enveloped": env,
-            "elapsed_s": np.array(elapsed)}
-    meta = {"envelope_baseline_R": baseline, "baseline_rule": "thermal"}
+    trap, r_jump = spec.trap, spec.constants["r_per_jump"]
+    r_eff, r_raw, elapsed = _squeeze_sweep(
+        spec, lambda n: builtin_protocol("multi_jump", trap, n_jumps=int(n),
+                                         r=r_jump))
+    env, meta = _enveloped(spec, r_raw, elapsed, "thermal")
+    cols = {"n_jumps": spec.sweep, "r_total": r_eff, "R": r_raw,
+            "R_enveloped": env, "elapsed_s": elapsed}
     return cols, meta
 
 
 def _gen_fig2b(spec):
-    trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0 = c["nbar0"]
-    r_eff_col, r_col = [], []
-    for r in spec.sweep:
-        if r > 0:
-            steps = (FrequencyJump(trap.omega1 * math.exp(-2 * r)),
-                     FrequencyJump(trap.omega1))
-        else:
-            steps = ()
-        res = run_symplectic(Protocol(trap.omega1, steps), trap)
-        r_eff = squeeze_params_from_pair(res.pair).r
-        r_eff_col.append(r_eff)
-        r_col.append(_squeezed_thermal_R(r_eff, nbar0, rabi))
-    cols = {"r": spec.sweep, "r_eff": np.array(r_eff_col),
-            "R": np.array(r_col)}
+    omega1 = spec.trap.omega1
+    r_eff, r_raw, _ = _squeeze_sweep(spec, lambda r: Protocol(
+        omega1, (FrequencyJump(omega1 * math.exp(-2 * r)),
+                 FrequencyJump(omega1)) if r > 0 else ()))
+    cols = {"r": spec.sweep, "r_eff": r_eff, "R": r_raw}
     return cols, {"baseline_rule": "none"}
 
 
 def _gen_fig2c(spec):
-    trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0 = c["nbar0"]
-    r_per_jump = 0.5 * math.log(trap.omega1 / trap.omega2)
-    r_raw, r_eff_col = [], []
-    for tau in spec.sweep:
-        steps = (FrequencyJump(trap.omega2), Wait(tau),
-                 FrequencyJump(trap.omega1))
-        res = run_symplectic(Protocol(trap.omega1, steps), trap)
-        r_eff = squeeze_params_from_pair(res.pair).r
-        r_eff_col.append(r_eff)
-        r_raw.append(_squeezed_thermal_R(r_eff, nbar0, rabi))
-    r_raw = np.array(r_raw)
-    baseline = float(r_raw.mean())
-    env = _envelope(r_raw, spec.sweep, c["envelope_tau_s"], baseline)
-    cols = {"tau_s": spec.sweep, "r_eff": np.array(r_eff_col),
-            "R": r_raw, "R_enveloped": env}
-    meta = {"two_r": 2 * r_per_jump, "oscillation_period_s":
-            math.pi / trap.omega2, "envelope_baseline_R": baseline,
-            "baseline_rule": "time-average"}
+    trap = spec.trap
+    r_eff, r_raw, elapsed = _squeeze_sweep(spec, lambda tau: Protocol(
+        trap.omega1, (FrequencyJump(trap.omega2), Wait(tau),
+                      FrequencyJump(trap.omega1))))
+    env, env_meta = _enveloped(spec, r_raw, elapsed, "time-average")
+    cols = {"tau_s": spec.sweep, "r_eff": r_eff, "R": r_raw,
+            "R_enveloped": env}
+    meta = {"two_r": math.log(trap.omega1 / trap.omega2),
+            "oscillation_period_s": math.pi / trap.omega2, **env_meta}
     return cols, meta
 
 
@@ -309,14 +300,11 @@ def _gen_fig3c(spec):
         alpha_abs.append(abs(res.displacement))
         r_raw.append(_displaced_thermal_R(abs(res.displacement), nbar0, rabi))
     r_raw = np.array(r_raw)
-    baseline = float(r_raw.mean())
-    env = _envelope(r_raw, spec.sweep, c["envelope_tau_s"], baseline)
+    env, env_meta = _enveloped(spec, r_raw, spec.sweep, "time-average")
     cols = {"tau_s": spec.sweep, "alpha_abs": np.array(alpha_abs),
             "R": r_raw, "R_enveloped": env}
     meta = {"alpha_i": coherent_alpha_from_shift(d, trap),
-            "oscillation_period_s": TWO_PI / trap.omega1,
-            "envelope_baseline_R": baseline,
-            "baseline_rule": "time-average"}
+            "oscillation_period_s": TWO_PI / trap.omega1, **env_meta}
     return cols, meta
 
 
@@ -336,12 +324,11 @@ def _gen_fig4a(spec):
         dist = fock.number_distribution(rho)
         r_raw.append(sideband_populations(dist, rabi).R)
     r_raw = np.array(r_raw)
-    baseline = float(r_raw.mean())
-    env = _envelope(r_raw, spec.sweep, c["decay_time_s"], baseline)
+    env, env_meta = _enveloped(spec, r_raw, spec.sweep, "time-average",
+                               "decay_time_s")
     cols = {"tau_s": spec.sweep, "R": r_raw, "R_enveloped": env}
     meta = {"oscillation_period_s": TWO_PI / trap.omega1,
-            "fock_dim": dim, "envelope_baseline_R": baseline,
-            "baseline_rule": "time-average"}
+            "fock_dim": dim, **env_meta}
     return cols, meta
 
 
@@ -413,29 +400,33 @@ def _fmt(value):
     return str(value)
 
 
-def emit_csv(table, path):
-    """Write a curve table as UTF-8 CSV: '#' metadata block, header row,
-    values with 9 significant digits.  The write is atomic (temp file
-    plus rename), so failures never leave partial output."""
-    names = list(table.columns)
-    arrays = [np.asarray(table.columns[k]) for k in names]
-    lines = [f"# {key}: {_fmt(table.metadata[key])}" for key in table.metadata]
-    lines.append(",".join(names))
-    for i in range(len(arrays[0])):
-        lines.append(",".join(_fmt(col[i]) for col in arrays))
-    payload = "\n".join(lines) + "\n"
+def _atomic_write(path, text):
+    """Write ``text`` as UTF-8 through a temp file plus rename, so a
+    failure never leaves partial output; creates the directory."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def emit_csv(table, path):
+    """Write a curve table as UTF-8 CSV: '#' metadata block, header row,
+    values with 9 significant digits.  The write is atomic."""
+    names = list(table.columns)
+    arrays = [np.asarray(table.columns[k]) for k in names]
+    lines = [f"# {key}: {_fmt(table.metadata[key])}" for key in table.metadata]
+    lines.append(",".join(names))
+    for i in range(len(arrays[0])):
+        lines.append(",".join(_fmt(col[i]) for col in arrays))
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def emit_plot_script(table, csv_path, path):
@@ -444,22 +435,10 @@ def emit_plot_script(table, csv_path, path):
     plots = ", ".join(
         f"'{os.path.basename(csv_path)}' using 1:{i + 2} with lines "
         f"title '{name}'" for i, name in enumerate(names[1:]))
-    script = "\n".join([
+    return _atomic_write(path, "\n".join([
         "set datafile separator ','",
         f"set xlabel '{names[0]}'",
         f"set title '{table.metadata.get('figure_id', '')}'",
         f"plot {plots}",
         "pause -1",
-    ]) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(script)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    ]) + "\n")

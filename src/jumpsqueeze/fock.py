@@ -18,14 +18,12 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .constants import MAX_DISPLACEMENT, MAX_SQUEEZE_AMPLITUDE
 from .errors import TruncationError
 
 DEFAULT_DIM = 64
 GUARD_BAND = 8
 TAIL_TOL = 1e-6
-
-MAX_SQUEEZE_AMPLITUDE = 3.0
-MAX_DISPLACEMENT = 6.0
 
 _UNITARY_TOL = 1e-8
 _HERMITICITY_TOL = 1e-12

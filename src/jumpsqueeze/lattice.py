@@ -114,17 +114,24 @@ def bound_state_count(params):
     return count
 
 
+def metres_per_alpha(params, omega):
+    """Trap shift (meters) that creates unit coherent amplitude at
+    ``omega``: 2 * calibration * sqrt(hbar / 2 m omega)."""
+    return 2.0 * params.calibration * math.sqrt(
+        HBAR / (2.0 * params.mass * omega))
+
+
 def coherent_alpha_from_shift(d, params):
     """Coherent amplitude alpha = d / (2 * calibration * x0) created by a
     sudden trap displacement ``d`` (meters)."""
     if not math.isfinite(d):
         raise ValueError(f"displacement must be finite, got {d}")
-    return d / (2.0 * params.calibration * params.x0)
+    return d / metres_per_alpha(params, params.omega1)
 
 
 def shift_from_coherent_alpha(alpha, params):
     """Inverse of :func:`coherent_alpha_from_shift`."""
-    return alpha * 2.0 * params.calibration * params.x0
+    return alpha * metres_per_alpha(params, params.omega1)
 
 
 def ground_state_widths(params, nbar0=0.0, r_total=0.0):

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .constants import MAX_DISPLACEMENT, MAX_SQUEEZE_AMPLITUDE
+
 MAX_INDEX = 512
-MAX_SQUEEZE_ARG = 3.0
-MAX_DISPLACEMENT_ARG = 6.0
 
 _LOG_TINY = -745.0  # exp underflows to 0 below this
 
@@ -60,7 +60,7 @@ def squeeze_matrix_element_sq(n, l, r):
         The squared matrix element, a probability.
     """
     n, l = _check_indices(n, l)
-    if not math.isfinite(r) or abs(r) > MAX_SQUEEZE_ARG:
+    if not math.isfinite(r) or abs(r) > MAX_SQUEEZE_AMPLITUDE:
         raise ValueError(f"squeeze amplitude out of range: {r}")
     if r == 0.0:
         return 1.0 if n == l else 0.0
@@ -102,7 +102,7 @@ def displacement_matrix_element_sq(n, l, alpha):
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("displacement must be finite")
-    if abs(alpha) > MAX_DISPLACEMENT_ARG:
+    if abs(alpha) > MAX_DISPLACEMENT:
         raise ValueError(f"displacement out of range: |alpha| = {abs(alpha)}")
     aa = abs(alpha) ** 2
     if aa == 0.0:

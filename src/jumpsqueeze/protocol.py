@@ -12,7 +12,7 @@ sudden approximation, not simulated.
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -20,10 +20,16 @@ import numpy as np
 from . import fock
 from .bogoliubov import (BogoliubovPair, bogoliubov_from_jump, compose_jump,
                          compose_wait, squeeze_params_from_pair)
-from .constants import HBAR, TWO_PI
-from .errors import ConfigError, TruncationError
+from .constants import TWO_PI
+from .errors import ConfigError, TruncationError, check_number
+from .lattice import metres_per_alpha, shift_from_coherent_alpha
 
 SCHEMA_VERSION = 1
+
+
+def _check_frequency(omega, what):
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"{what} must be finite and positive, got {omega}")
 
 
 @dataclass(frozen=True)
@@ -32,9 +38,7 @@ class FrequencyJump:
     omega_new: float
 
     def __post_init__(self):
-        if not self.omega_new > 0:
-            raise ValueError(f"jump target frequency must be positive, "
-                             f"got {self.omega_new}")
+        _check_frequency(self.omega_new, "jump target frequency")
 
 
 @dataclass(frozen=True)
@@ -65,67 +69,69 @@ class UnshiftOrigin:
 ProtocolStep = Union[FrequencyJump, Wait, ShiftOrigin, UnshiftOrigin]
 
 
+def _walk(protocol):
+    """Yield ``(index, step, omega, shift)`` for every step of ``protocol``.
+
+    ``omega`` is the frequency in effect when the step starts (for a jump,
+    the frequency jumped from).  ``shift`` is the signed trap translation
+    in meters: ``d`` for a shift, minus the undone shift for an unshift
+    and 0 for jumps and waits.
+    """
+    open_shifts = []
+    omega = protocol.omega_initial
+    for i, step in enumerate(protocol.steps):
+        shift = 0.0
+        if isinstance(step, ShiftOrigin):
+            shift = step.d
+            open_shifts.append(shift)
+        elif isinstance(step, UnshiftOrigin):
+            if not open_shifts:
+                raise ValueError(
+                    f"step {i}: unshift without an unmatched shift")
+            shift = -open_shifts.pop()
+        elif not isinstance(step, (FrequencyJump, Wait)):
+            raise TypeError(f"step {i}: unknown step type {type(step)}")
+        yield i, step, omega, shift
+        if isinstance(step, FrequencyJump):
+            omega = step.omega_new
+
+
 @dataclass(frozen=True)
 class Protocol:
-    """An ordered jump/wait/shift sequence starting at ``omega_initial``."""
+    """An ordered jump/wait/shift sequence starting at ``omega_initial``;
+    ``final_omega`` is the frequency in effect after the last step."""
     omega_initial: float
     steps: Tuple[ProtocolStep, ...]
+    final_omega: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.omega_initial > 0:
-            raise ValueError("initial frequency must be positive")
+        _check_frequency(self.omega_initial, "initial frequency")
         object.__setattr__(self, "steps", tuple(self.steps))
-        open_shifts = 0
+        final_omega = self.omega_initial
         total_wait = 0.0
-        for i, step in enumerate(self.steps):
-            if isinstance(step, ShiftOrigin):
-                open_shifts += 1
-            elif isinstance(step, UnshiftOrigin):
-                if open_shifts == 0:
-                    raise ValueError(
-                        f"step {i}: unshift without an unmatched shift")
-                open_shifts -= 1
+        for _, step, _, _ in _walk(self):
+            if isinstance(step, FrequencyJump):
+                final_omega = step.omega_new
             elif isinstance(step, Wait):
                 total_wait += step.tau
-            elif not isinstance(step, FrequencyJump):
-                raise TypeError(f"step {i}: unknown step type {type(step)}")
         if not math.isfinite(total_wait):
             raise ValueError("total wait time must be finite")
-
-    def total_wait(self):
-        return sum(s.tau for s in self.steps if isinstance(s, Wait))
+        object.__setattr__(self, "final_omega", final_omega)
 
     def inverse(self):
         """Formal inverse: reversed steps with inverted jumps and shifts,
         and waits completed to full oscillation periods."""
-        omega = self.omega_initial
-        shift_stack = []
-        annotated = []
-        for step in self.steps:
-            if isinstance(step, FrequencyJump):
-                annotated.append((step, omega))
-                omega = step.omega_new
-            elif isinstance(step, ShiftOrigin):
-                shift_stack.append(step.d)
-                annotated.append((step, omega))
-            elif isinstance(step, UnshiftOrigin):
-                annotated.append((step, shift_stack.pop()))
-            else:
-                annotated.append((step, omega))
         inverted = []
-        for step, extra in reversed(annotated):
+        for _, step, omega, shift in _walk(self):
             if isinstance(step, FrequencyJump):
-                inverted.append(FrequencyJump(extra))
+                inverted.append(FrequencyJump(omega))
             elif isinstance(step, Wait):
-                omega_here = extra
-                period = TWO_PI / omega_here
+                period = TWO_PI / omega
                 remainder = step.tau % period
                 inverted.append(Wait(0.0 if remainder == 0 else period - remainder))
-            elif isinstance(step, ShiftOrigin):
-                inverted.append(ShiftOrigin(-step.d))
             else:
-                inverted.append(ShiftOrigin(extra))
-        return Protocol(omega, tuple(inverted))
+                inverted.append(ShiftOrigin(-shift))
+        return Protocol(self.final_omega, tuple(reversed(inverted)))
 
 
 @dataclass(frozen=True)
@@ -151,11 +157,6 @@ def amplified_alpha(alpha_i, r):
     return complex(alpha_i) * math.exp(2.0 * r) * cmath.exp(1j * math.pi)
 
 
-def _alpha_units(omega, mass, calibration):
-    """Meters-per-alpha conversion 2 * calibration * x0 at ``omega``."""
-    return 2.0 * calibration * math.sqrt(HBAR / (2.0 * mass * omega))
-
-
 def run_symplectic(protocol, params):
     """Run a protocol on the Gaussian accumulator.
 
@@ -164,28 +165,20 @@ def run_symplectic(protocol, params):
     """
     pair = BogoliubovPair.identity()
     alpha = 0.0 + 0.0j
-    omega = protocol.omega_initial
     elapsed = 0.0
-    shift_stack = []
-    for step in protocol.steps:
+    for _, step, omega, shift in _walk(protocol):
         if isinstance(step, FrequencyJump):
             jump, _ = bogoliubov_from_jump(omega, step.omega_new)
             pair = compose_jump(pair, jump)
             alpha = jump.u * alpha - jump.v * alpha.conjugate()
-            omega = step.omega_new
         elif isinstance(step, Wait):
             phase = omega * step.tau
             pair = compose_wait(pair, phase)
             alpha *= cmath.exp(-1j * phase)
             elapsed += step.tau
-        elif isinstance(step, ShiftOrigin):
-            c = step.d / _alpha_units(omega, params.mass, params.calibration)
-            shift_stack.append(step.d)
-            alpha += c
         else:
-            d = shift_stack.pop()
-            alpha -= d / _alpha_units(omega, params.mass, params.calibration)
-    return ProtocolResult(pair, alpha, elapsed, omega)
+            alpha += shift / metres_per_alpha(params, omega)
+    return ProtocolResult(pair, alpha, elapsed, protocol.final_omega)
 
 
 def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
@@ -221,33 +214,24 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
             raise ValueError(f"initial state dimension {rho.shape[0]} "
                              f"does not match dim={dim}")
     symplectic = run_symplectic(protocol, params)
-    omega = protocol.omega_initial
-    shift_stack = []
-    for i, step in enumerate(protocol.steps):
+    for i, step, omega, shift in _walk(protocol):
         try:
             if isinstance(step, FrequencyJump):
                 r_jump = 0.5 * math.log(omega / step.omega_new)
                 op = fock.squeeze_operator_exact(r_jump, 0.0, dim)
-                omega = step.omega_new
             elif isinstance(step, Wait):
                 op = fock.free_evolution_operator(omega, step.tau, dim)
-            elif isinstance(step, ShiftOrigin):
-                c = step.d / _alpha_units(omega, params.mass, params.calibration)
-                shift_stack.append(step.d)
-                op = fock.displacement_operator_exact(c, dim)
             else:
-                d = shift_stack.pop()
-                c = d / _alpha_units(omega, params.mass, params.calibration)
-                op = fock.displacement_operator_exact(-c, dim)
+                op = fock.displacement_operator_exact(
+                    shift / metres_per_alpha(params, omega), dim)
             rho = fock.apply_unitary(op, rho)
-        except (TruncationError, ValueError) as exc:
-            if isinstance(exc, TruncationError):
-                raise TruncationError(
-                    f"step {i} ({type(step).__name__}): {exc.base_message}",
-                    min_dim=exc.min_dim) from exc
-            raise
+        except TruncationError as exc:
+            raise TruncationError(
+                f"step {i} ({type(step).__name__}): {exc.base_message}",
+                min_dim=exc.min_dim) from exc
     return ProtocolResult(symplectic.pair, symplectic.displacement,
-                          symplectic.elapsed, omega, final_rho=rho)
+                          symplectic.elapsed, protocol.final_omega,
+                          final_rho=rho)
 
 
 def implied_state(result, nbar0, dim=fock.DEFAULT_DIM):
@@ -314,7 +298,7 @@ def builtin_protocol(name, params, n_jumps=None, alpha_i=None, r=None):
     elif name in ("displaced_squeeze", "amplify"):
         if alpha_i is None:
             raise ValueError(f"{name} requires alpha_i")
-        d = alpha_i * _alpha_units(omega1, params.mass, params.calibration)
+        d = shift_from_coherent_alpha(alpha_i, params)
         steps = double_jump + [Wait(quarter1), ShiftOrigin(d)]
         if name == "amplify":
             steps += [Wait(quarter1)] + double_jump
@@ -351,6 +335,11 @@ def _require_keys(doc, required, optional=(), where="protocol"):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _step_value(entry, key, where):
+    _require_keys(entry, ("type", key), where=where)
+    return check_number(entry[key], f"{where}.{key}")
+
+
 def protocol_from_json(doc):
     """Parse the plain-JSON protocol document."""
     if not isinstance(doc, dict):
@@ -370,26 +359,26 @@ def protocol_from_json(doc):
         kind = entry["type"]
         try:
             if kind == "frequency_jump":
-                _require_keys(entry, ("type", "omega_new_hz"), where=where)
-                steps.append(FrequencyJump(TWO_PI * float(entry["omega_new_hz"])))
+                steps.append(FrequencyJump(
+                    TWO_PI * _step_value(entry, "omega_new_hz", where)))
             elif kind == "wait":
-                _require_keys(entry, ("type", "tau_s"), where=where)
-                steps.append(Wait(float(entry["tau_s"])))
+                steps.append(Wait(_step_value(entry, "tau_s", where)))
             elif kind == "shift_origin":
-                _require_keys(entry, ("type", "d_m"), where=where)
-                steps.append(ShiftOrigin(float(entry["d_m"])))
+                steps.append(ShiftOrigin(_step_value(entry, "d_m", where)))
             elif kind == "unshift_origin":
                 _require_keys(entry, ("type",), where=where)
                 steps.append(UnshiftOrigin())
             else:
                 raise ConfigError(f"{where}: unknown step type {kind!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except ConfigError:
+            raise
+        except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+    omega_initial = TWO_PI * check_number(doc["omega_initial_hz"],
+                                          "omega_initial_hz")
     try:
-        return Protocol(TWO_PI * float(doc["omega_initial_hz"]), tuple(steps))
-    except (TypeError, ValueError) as exc:
+        return Protocol(omega_initial, tuple(steps))
+    except ValueError as exc:
         raise ConfigError(f"invalid protocol: {exc}") from exc
 
 
@@ -400,9 +389,11 @@ def save_protocol(protocol, path):
 
 
 def load_protocol(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed protocol JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed protocol JSON: {exc}") from exc
     return protocol_from_json(doc)

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import fock
 from ._mathieu import bound_level_count, lattice_levels
+from .constants import MAX_SQUEEZE_AMPLITUDE
 from .errors import TruncationError
 from .lattice import bound_state_count, mathieu_energy
 from .matrix_elements import (displacement_matrix_element_sq,
@@ -157,7 +158,7 @@ def run_selfcheck(config):
                                                    sc["element_n_max"]))
         moment_amps = sorted({s for r in sc["state_amplitudes"]
                               for s in (r, 2 * r)
-                              if s <= fock.MAX_SQUEEZE_AMPLITUDE})
+                              if s <= MAX_SQUEEZE_AMPLITUDE})
         results.append(check_moments(moment_amps, config.nbar0,
                                      config.fock_dim))
         results.append(check_backend_agreement(config))

@@ -66,6 +66,13 @@ class TestFigureCommand:
         assert (tmp_path / "flagdir" / "fig2d.csv").exists()
         assert not (tmp_path / "envdir").exists()
 
+    def test_out_below_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["--out", str(blocker / "sub"), "figure", "fig2d"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_figure_override_via_config(self, tmp_path, capsys):
         cfg = {"figure_overrides": {"fig2b": {"points": 5}}}
         cfg_path = write_json(tmp_path / "cfg.json", cfg)
@@ -77,6 +84,35 @@ class TestFigureCommand:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("figure_id, key, value", [
+        ("fig2a", "points", math.inf),
+        ("fig2b", "points", -5),
+        ("fig2c", "nbar0", math.nan),
+        ("fig2b", "nbar0", -0.1),
+        ("fig2a", "envelope_tau_s", 0),
+        ("fig4c", "decay_time_s", -1e-6),
+        ("fig2a_inset", "n_jumps_max", 0),
+        ("fig4a", "fock_dim", 1),
+        ("fig3c", "periods", 0),
+        ("fig2c", "points_per_period", 0),
+        ("fig3b", "d_max_m", -math.inf),
+        ("fig3b", "calibration", 0),
+        ("fig2d", "squeeze_factor", -2.58),
+    ])
+    def test_override_outside_domain_exits_2(self, tmp_path, capsys,
+                                             figure_id, key, value):
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              {"figure_overrides": {figure_id: {key: value}}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg_path, "--out", str(out),
+                     "figure", figure_id]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "absent.json"),
+                     "selfcheck"]) == 2
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -147,6 +183,40 @@ class TestProtocolRun:
                           {"omega_initial_hz": 93e3,
                            "steps": [{"type": "warp"}]})
         assert main(["protocol", "run", str(path)]) == 2
+
+    def test_missing_protocol_file_exits_2(self, tmp_path, capsys):
+        assert main(["protocol", "run", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read protocol" in capsys.readouterr().err
+
+    def test_non_utf8_protocol_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"omega_initial_hz": 93e3, "steps": [], "\xe9": 1}')
+        assert main(["protocol", "run", str(path)]) == 2
+
+    @pytest.mark.parametrize("where, key, value", [
+        (None, "omega_initial_hz", math.inf),
+        (None, "omega_initial_hz", math.nan),
+        (None, "omega_initial_hz", True),
+        (0, "omega_new_hz", math.inf),
+        (0, "omega_new_hz", 1e308),
+        (0, "omega_new_hz", False),
+        (1, "tau_s", True),
+        (1, "tau_s", -math.inf),
+        (2, "d_m", math.nan),
+        (2, "d_m", "1e-9"),
+    ])
+    def test_bad_protocol_value_exits_2(self, tmp_path, capsys,
+                                        where, key, value):
+        doc = {"omega_initial_hz": 93e3, "steps": [
+            {"type": "frequency_jump", "omega_new_hz": 23e3},
+            {"type": "wait", "tau_s": 1e-6},
+            {"type": "shift_origin", "d_m": 1e-9}]}
+        (doc if where is None else doc["steps"][where])[key] = value
+        path = write_json(tmp_path / "bad.json", doc)
+        assert main(["protocol", "run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (key if where is None else f"steps[{where}]") in captured.err
 
     def test_envelope_violation_exits_3(self, tmp_path, capsys):
         # a squeeze amplitude beyond the supported range

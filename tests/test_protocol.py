@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import distribution_tvd
 from jumpsqueeze import fock
@@ -21,6 +23,23 @@ DIM = 192
 
 def quarter(omega):
     return 0.5 * math.pi / omega
+
+
+def shift_jump_unshift(trap):
+    """Shift at omega1, wait, jump to omega2, then undo the shift there."""
+    return Protocol(trap.omega1, (ShiftOrigin(15e-9), Wait(3.1e-6),
+                                  FrequencyJump(trap.omega2),
+                                  UnshiftOrigin()))
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=4)
+                | st.integers() | st.just(10 ** 400)
+                | st.floats(allow_nan=True, allow_infinity=True))
+STEP_DOCS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["frequency_jump", "wait", "shift_origin",
+                              "unshift_origin"]) | JSON_SCALARS},
+    optional={"omega_new_hz": JSON_SCALARS, "tau_s": JSON_SCALARS,
+              "d_m": JSON_SCALARS, "note": JSON_SCALARS})
 
 
 class TestProtocolValidation:
@@ -143,6 +162,7 @@ class TestRunFock:
             builtin_protocol("displaced_squeeze", trap,
                              alpha_i=0.67, r=1.23 / 2),
             builtin_protocol("amplify", trap, alpha_i=0.67, r=1.23 / 2),
+            shift_jump_unshift(trap),
         ]
         for proto in protos:
             rho0 = fock.thermal_density_matrix(nbar0, DIM)
@@ -159,6 +179,7 @@ class TestRunFock:
             Protocol(trap.omega1, (FrequencyJump(trap.omega2),
                                    Wait(7.7e-6), FrequencyJump(trap.omega1),
                                    ShiftOrigin(12e-9), Wait(3.1e-6))),
+            shift_jump_unshift(trap),
         ]
         for proto in protos:
             rho0 = fock.thermal_density_matrix(0.15, DIM)
@@ -221,3 +242,20 @@ class TestProtocolJson:
         doc = {"schema_version": 99, "omega_initial_hz": 93e3, "steps": []}
         with pytest.raises(ConfigError):
             protocol_from_json(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"omega_initial_hz": JSON_SCALARS,
+         "steps": st.lists(STEP_DOCS | JSON_SCALARS, max_size=6)
+         | JSON_SCALARS},
+        optional={"schema_version": st.just(1) | JSON_SCALARS,
+                  "comment": JSON_SCALARS}))
+    def test_parser_gives_config_error_or_finite_protocol(self, doc):
+        try:
+            proto = protocol_from_json(doc)
+        except ConfigError:
+            return
+        omegas = [proto.omega_initial, proto.final_omega] + [
+            s.omega_new for s in proto.steps if isinstance(s, FrequencyJump)]
+        assert all(math.isfinite(w) and w > 0 for w in omegas)
+
