@@ -23,10 +23,10 @@ import time
 from . import fock
 from .bogoliubov import ln_u_plus_v, squeeze_params_from_pair
 from .config import load_config
-from .constants import TWO_PI
-from .errors import ConfigError, TruncationError
+from .constants import MAX_FOCK_DIM, TWO_PI
+from .errors import SCHEMA_VERSION, ConfigError, TruncationError
 from .figures import FIGURE_IDS, build_spec, emit_csv, emit_plot_script, generate
-from .protocol import SCHEMA_VERSION, load_protocol, run_fock
+from .protocol import load_protocol, run_fock
 from .selfcheck import run_selfcheck
 from .spectroscopy import sideband_populations
 
@@ -40,13 +40,7 @@ def _output_dir(args, config):
 
 
 def cmd_figure(args, config):
-    if args.figure_id == "all":
-        figure_ids = FIGURE_IDS
-    elif args.figure_id in FIGURE_IDS:
-        figure_ids = (args.figure_id,)
-    else:
-        raise ConfigError(f"unknown figure id {args.figure_id!r}; "
-                          f"known: all, {', '.join(FIGURE_IDS)}")
+    figure_ids = FIGURE_IDS if args.figure_id == "all" else (args.figure_id,)
     out_dir = _output_dir(args, config)
     for figure_id in figure_ids:
         started = time.perf_counter()
@@ -69,9 +63,6 @@ def cmd_figure(args, config):
     return 0
 
 
-_MAX_AUTO_DIM = 1024
-
-
 def cmd_protocol_run(args, config):
     protocol = load_protocol(args.protocol_file)
     dim = config.fock_dim
@@ -83,7 +74,7 @@ def cmd_protocol_run(args, config):
             break
         except TruncationError as exc:
             advised = exc.min_dim or 2 * dim
-            if advised <= dim or advised > _MAX_AUTO_DIM:
+            if advised <= dim or advised > MAX_FOCK_DIM:
                 raise
             print(f"note: raising fock_dim {dim} -> {advised} "
                   f"({exc.base_message})", file=sys.stderr)
@@ -160,7 +151,7 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # TruncationError and CutoffError among them
+    except (ValueError, ArithmeticError) as exc:  # truncation, overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

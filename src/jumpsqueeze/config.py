@@ -8,18 +8,17 @@ exactly h * 2 kHz, which keeps the dimensionless lattice depth at its
 quoted value q = 131.25 (a 1064 nm wavenumber would give 2.08 kHz).
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict
 
-from .constants import HBAR, RB85_MASS, TWO_PI
-from .errors import ConfigError, check_number
-from .figures import CONSTANT_MINIMUMS, DEFAULT_CONSTANTS, FIGURE_IDS
+from .constants import (HBAR, MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_INDEX,
+                        MAX_SQUEEZE_AMPLITUDE, RB85_MASS, TWO_PI)
+from .errors import (SCHEMA_VERSION, ConfigError, check_integer, check_number,
+                     check_object, construct, read_json)
+from .figures import FIGURE_IDS, check_overrides
 from .lattice import TrapParams
 from .spectroscopy import RabiParams
-
-SCHEMA_VERSION = 1
 
 DEFAULT_RECOIL_HZ = 2e3
 DEFAULT_LATTICE_WAVENUMBER = math.sqrt(
@@ -70,109 +69,68 @@ class Config:
     selfcheck: Dict[str, object]
 
 
-def _merge(defaults, overrides, where):
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
+def _with_defaults(doc, defaults, where):
+    return {**defaults, **check_object(doc, where, defaults)}
 
 
 def parse_config(doc):
     """Validate a config document (missing keys fall back to defaults,
     unknown keys are rejected) and build the parameter objects."""
     defaults = default_config_dict()
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    top = _merge(defaults, doc, "config")
-    if top["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported config schema_version {top['schema_version']!r}")
+    top = _with_defaults(doc, defaults, "config")
+    trap_doc = _with_defaults(top["trap"], defaults["trap"], "trap")
+    rabi_doc = _with_defaults(top["rabi"], defaults["rabi"], "rabi")
+    selfcheck = _with_defaults(top["selfcheck"], defaults["selfcheck"],
+                               "selfcheck")
 
-    trap_doc = _merge(defaults["trap"], top["trap"], "config.trap")
-    rabi_doc = _merge(defaults["rabi"], top["rabi"], "config.rabi")
+    trap = construct(
+        TrapParams, "trap",
+        omega1=check_number(trap_doc["omega1_hz"], "trap.omega1_hz",
+                            scale=TWO_PI),
+        omega2=check_number(trap_doc["omega2_hz"], "trap.omega2_hz",
+                            scale=TWO_PI),
+        mass=check_number(trap_doc["mass_kg"], "trap.mass_kg"),
+        lattice_wavenumber=check_number(trap_doc["lattice_wavenumber_per_m"],
+                                        "trap.lattice_wavenumber_per_m"),
+        V0=check_number(trap_doc["v0_hz"], "trap.v0_hz", scale=TWO_PI * HBAR),
+        calibration=check_number(trap_doc["calibration"], "trap.calibration"))
+    rabi = construct(
+        RabiParams, "rabi",
+        omega01=check_number(rabi_doc["omega01_hz"], "rabi.omega01_hz",
+                             scale=TWO_PI),
+        gamma=check_number(rabi_doc["gamma_per_s"], "rabi.gamma_per_s"),
+        pulse_t=check_number(rabi_doc["pulse_t_s"], "rabi.pulse_t_s"),
+        n_max=check_integer(rabi_doc["n_max"], "rabi.n_max"))
 
-    trap = TrapParams(
-        omega1=TWO_PI * check_number(trap_doc["omega1_hz"],
-                                     "trap.omega1_hz", 0, strict=True),
-        omega2=TWO_PI * check_number(trap_doc["omega2_hz"],
-                                     "trap.omega2_hz", 0, strict=True),
-        mass=check_number(trap_doc["mass_kg"], "trap.mass_kg", 0, strict=True),
-        lattice_wavenumber=check_number(
-            trap_doc["lattice_wavenumber_per_m"],
-            "trap.lattice_wavenumber_per_m", 0, strict=True),
-        V0=TWO_PI * HBAR * check_number(trap_doc["v0_hz"],
-                                        "trap.v0_hz", 0, strict=True),
-        calibration=check_number(trap_doc["calibration"],
-                                 "trap.calibration", 0, strict=True),
-    )
-    n_max = rabi_doc["n_max"]
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise ConfigError(f"rabi.n_max: expected an integer, got {n_max!r}")
-    rabi = RabiParams(
-        omega01=TWO_PI * check_number(rabi_doc["omega01_hz"],
-                                      "rabi.omega01_hz", 0, strict=True),
-        gamma=check_number(rabi_doc["gamma_per_s"], "rabi.gamma_per_s", 0),
-        pulse_t=check_number(rabi_doc["pulse_t_s"],
-                             "rabi.pulse_t_s", 0, strict=True),
-        n_max=n_max,
-    )
-
-    fock_dim = top["fock_dim"]
-    if isinstance(fock_dim, bool) or not isinstance(fock_dim, int) or fock_dim < 2:
-        raise ConfigError(f"fock_dim: expected an integer >= 2, got {fock_dim!r}")
+    fock_dim = check_integer(top["fock_dim"], "fock_dim", 2, MAX_FOCK_DIM)
     nbar0 = check_number(top["nbar0"], "nbar0", 0)
     if not isinstance(top["output_dir"], str) or not top["output_dir"]:
         raise ConfigError("output_dir: expected a nonempty string")
+    figure_overrides = {
+        fig: check_overrides(fig, over) for fig, over in check_object(
+            top["figure_overrides"], "figure_overrides", FIGURE_IDS).items()}
 
-    overrides_doc = top["figure_overrides"]
-    if not isinstance(overrides_doc, dict):
-        raise ConfigError("figure_overrides: expected an object")
-    unknown_figs = set(overrides_doc) - set(FIGURE_IDS)
-    if unknown_figs:
-        raise ConfigError(f"figure_overrides: unknown figure ids "
-                          f"{sorted(unknown_figs)}")
-    figure_overrides = {}
-    for fig, over in overrides_doc.items():
-        _merge(DEFAULT_CONSTANTS[fig], over, f"figure_overrides.{fig}")
-        for key, value in over.items():
-            check_number(value, f"figure_overrides.{fig}.{key}",
-                         *CONSTANT_MINIMUMS.get(key, ()))
-        figure_overrides[fig] = dict(over)
-
-    selfcheck_doc = _merge(defaults["selfcheck"], top["selfcheck"],
-                           "config.selfcheck")
-    for key in ("element_r_values", "element_alpha_values",
-                "state_amplitudes"):
-        values = selfcheck_doc[key]
+    for key, bound in (("element_r_values", MAX_SQUEEZE_AMPLITUDE),
+                       ("element_alpha_values", MAX_DISPLACEMENT),
+                       ("state_amplitudes", math.inf)):
+        values = selfcheck[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"selfcheck.{key}: expected a nonempty list "
                               f"of numbers")
-        selfcheck_doc[key] = [check_number(v, f"selfcheck.{key}[{i}]")
-                              for i, v in enumerate(values)]
-    selfcheck_doc["element_n_max"] = int(
-        check_number(selfcheck_doc["element_n_max"], "selfcheck.element_n_max", 1))
-    selfcheck_doc["alpha_i"] = check_number(
-        selfcheck_doc["alpha_i"], "selfcheck.alpha_i", 0)
+        selfcheck[key] = [check_number(v, f"selfcheck.{key}[{i}]", -bound,
+                                       maximum=bound)
+                          for i, v in enumerate(values)]
+    selfcheck["element_n_max"] = check_integer(
+        selfcheck["element_n_max"], "selfcheck.element_n_max", 1, MAX_INDEX)
+    selfcheck["alpha_i"] = check_number(
+        selfcheck["alpha_i"], "selfcheck.alpha_i", 0)
 
     return Config(trap=trap, rabi=rabi, fock_dim=fock_dim, nbar0=nbar0,
                   output_dir=top["output_dir"],
                   figure_overrides=figure_overrides,
-                  selfcheck=selfcheck_doc)
+                  selfcheck=selfcheck)
 
 
 def load_config(path=None):
     """Load and validate a config file; None gives the defaults."""
-    if path is None:
-        return parse_config({})
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"malformed config JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config({} if path is None else read_json(path, "config"))

@@ -12,3 +12,9 @@ TWO_PI = 2.0 * math.pi
 # accepts.
 MAX_SQUEEZE_AMPLITUDE = 3.0
 MAX_DISPLACEMENT = 6.0
+
+# Largest number-state index of the closed-form matrix elements, and the
+# largest Fock truncation dimension a config or the protocol auto-growth
+# may ask for.
+MAX_INDEX = 512
+MAX_FOCK_DIM = 1024

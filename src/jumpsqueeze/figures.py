@@ -18,8 +18,8 @@ import numpy as np
 
 from . import fock
 from .bogoliubov import squeeze_params_from_pair
-from .constants import TWO_PI
-from .errors import ConfigError
+from .constants import MAX_FOCK_DIM, TWO_PI
+from .errors import ConfigError, check_integer, check_number, check_object
 from .lattice import TrapParams, coherent_alpha_from_shift, ground_state_widths
 from .matrix_elements import (displacement_matrix_element_sq,
                               squeeze_matrix_element_sq,
@@ -60,14 +60,33 @@ DEFAULT_CONSTANTS = {
               "two_r_max": 2.0, "points": 41},
 }
 
-# Lower bound (minimum, strict) of each figure constant that has one; every
-# constant must also be finite.
-CONSTANT_MINIMUMS = {
-    "points": (1,), "n_jumps_max": (1,), "fock_dim": (2,), "nbar0": (0,),
-    "periods": (0, True), "points_per_period": (0, True),
-    "envelope_tau_s": (0, True), "decay_time_s": (0, True),
-    "calibration": (0, True), "squeeze_factor": (0, True),
+# Domain of each figure constant that has one, as a check and its bounds;
+# every other constant must be a finite number.
+CONSTANT_DOMAINS = {
+    "points": (check_integer, 1), "n_jumps_max": (check_integer, 1),
+    "fock_dim": (check_integer, 2, MAX_FOCK_DIM),
+    "nbar0": (check_number, 0), "periods": (check_number, 0, True),
+    "points_per_period": (check_number, 0, True),
+    "envelope_tau_s": (check_number, 0, True),
+    "decay_time_s": (check_number, 0, True),
+    "calibration": (check_number, 0, True),
+    "squeeze_factor": (check_number, 0, True),
 }
+
+
+def check_overrides(figure_id, overrides):
+    """Return ``overrides`` of ``figure_id``'s constants, each checked
+    against its domain."""
+    if figure_id not in FIGURE_IDS:
+        raise ConfigError(f"unknown figure id {figure_id!r}; known: "
+                          f"{', '.join(FIGURE_IDS)}")
+    where = f"figure_overrides.{figure_id}"
+    checked = {}
+    for key, value in check_object(overrides, where,
+                                   DEFAULT_CONSTANTS[figure_id]).items():
+        check, *bounds = CONSTANT_DOMAINS.get(key, (check_number,))
+        checked[key] = check(value, f"{where}.{key}", *bounds)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -80,8 +99,6 @@ class FigureSpec:
     constants: Dict[str, float]
 
     def __post_init__(self):
-        if self.figure_id not in FIGURE_IDS:
-            raise ConfigError(f"unknown figure id {self.figure_id!r}")
         sweep = np.asarray(self.sweep, dtype=float)
         if sweep.size == 0:
             raise ConfigError("sweep grid must be nonempty")
@@ -102,25 +119,23 @@ class CurveTable:
         for name, col in self.columns.items():
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"column {name!r} contains non-finite values")
+        for key, value in self.metadata.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"metadata {key!r} is not finite: {value}")
 
 
 def build_spec(figure_id, trap, rabi, overrides=None):
     """Assemble a FigureSpec with default per-figure constants and grid,
     applying user overrides."""
-    if figure_id not in FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {figure_id!r}")
-    constants = dict(DEFAULT_CONSTANTS[figure_id])
-    for key, value in (overrides or {}).items():
-        if key not in constants:
-            raise ConfigError(f"{figure_id}: unknown constant {key!r}")
-        constants[key] = value
+    overrides = check_overrides(figure_id, overrides or {})
+    constants = {**DEFAULT_CONSTANTS[figure_id], **overrides}
 
     if figure_id == "fig2a":
-        sweep = np.linspace(0.0, constants["two_r_max"], int(constants["points"]))
+        sweep = np.linspace(0.0, constants["two_r_max"], constants["points"])
     elif figure_id == "fig2a_inset":
-        sweep = np.arange(1, int(constants["n_jumps_max"]) + 1, dtype=float)
+        sweep = np.arange(1, constants["n_jumps_max"] + 1, dtype=float)
     elif figure_id == "fig2b":
-        sweep = np.linspace(0.0, constants["r_max"], int(constants["points"]))
+        sweep = np.linspace(0.0, constants["r_max"], constants["points"])
     elif figure_id == "fig2c":
         period = math.pi / trap.omega2
         n = int(constants["periods"] * constants["points_per_period"])
@@ -131,11 +146,11 @@ def build_spec(figure_id, trap, rabi, overrides=None):
         sweep = np.arange(n + 1) * (period / constants["points_per_period"])
     elif figure_id == "fig2d":
         sweep = np.linspace(-constants["v_max_m_s"], constants["v_max_m_s"],
-                            int(constants["points"]))
+                            constants["points"])
     elif figure_id == "fig3b":
-        sweep = np.linspace(0.0, constants["d_max_m"], int(constants["points"]))
+        sweep = np.linspace(0.0, constants["d_max_m"], constants["points"])
     else:  # fig4c
-        sweep = np.linspace(0.0, constants["two_r_max"], int(constants["points"]))
+        sweep = np.linspace(0.0, constants["two_r_max"], constants["points"])
     return FigureSpec(figure_id, sweep, _with_calibration(trap, constants),
                       rabi, constants)
 
@@ -311,7 +326,7 @@ def _gen_fig3c(spec):
 def _gen_fig4a(spec):
     trap, rabi, c = spec.trap, spec.rabi, spec.constants
     nbar0, alpha_i, two_r = c["nbar0"], c["alpha_i"], c["two_r"]
-    dim = int(c["fock_dim"])
+    dim = c["fock_dim"]
     proto = builtin_protocol("displaced_squeeze", trap,
                              alpha_i=alpha_i, r=two_r / 2.0)
     initial = fock.thermal_density_matrix(nbar0, dim)

@@ -74,24 +74,24 @@ def squeezed_vacuum_populations(r, dim):
     return p
 
 
-def min_squeeze_dim(r, tail_tol=TAIL_TOL, guard=GUARD_BAND):
+def min_squeeze_dim(r):
     """Smallest dimension whose top guard band holds less than
-    ``tail_tol`` of the squeezed vacuum S(r)|0>."""
+    ``TAIL_TOL`` of the squeezed vacuum S(r)|0>."""
     r = abs(r)
     if r == 0:
         return 2
     dim = 16
     while dim < 65536:
-        p = squeezed_vacuum_populations(r, dim + guard)
-        if p[dim - guard:dim].sum() < tail_tol and p[dim:].sum() < tail_tol:
+        p = squeezed_vacuum_populations(r, dim + GUARD_BAND)
+        if max(p[dim - GUARD_BAND:dim].sum(), p[dim:].sum()) < TAIL_TOL:
             return dim
         dim += 16
     raise TruncationError(f"no practical dimension holds squeeze r={r}")
 
 
-def min_displacement_dim(alpha, tail_tol=TAIL_TOL, guard=GUARD_BAND):
+def min_displacement_dim(alpha):
     """Smallest dimension whose top guard band holds less than
-    ``tail_tol`` of the coherent state D(alpha)|0>."""
+    ``TAIL_TOL`` of the coherent state D(alpha)|0>."""
     mean = abs(alpha) ** 2
     if mean == 0:
         return 2
@@ -102,7 +102,7 @@ def min_displacement_dim(alpha, tail_tol=TAIL_TOL, guard=GUARD_BAND):
         p[0] = math.exp(-mean)
         for k in range(1, dim):
             p[k] = p[k - 1] * mean / k
-        if p[dim - guard:].sum() + max(0.0, 1.0 - p.sum()) < tail_tol:
+        if p[dim - GUARD_BAND:].sum() + max(0.0, 1.0 - p.sum()) < TAIL_TOL:
             return dim
         dim += 16
     raise TruncationError(f"no practical dimension holds displacement {alpha}")
@@ -210,44 +210,43 @@ def thermal_truncation_deficit(nbar0, dim=DEFAULT_DIM):
     return (nbar0 / (1.0 + nbar0)) ** dim
 
 
-def validate_unitary(u, guard=GUARD_BAND, tol=_UNITARY_TOL):
+def validate_unitary(u):
     """Check ``u`` is unitary on the guard-banded sub-block.
 
     Returns the maximum deviation of ``(u^dag u - I)`` on the sub-block
-    ``[0, dim - guard)``; raises ValueError when it exceeds ``tol``.
+    ``[0, dim - GUARD_BAND)``; raises ValueError above ``_UNITARY_TOL``.
     """
     u = np.asarray(u)
     dim = u.shape[0]
-    block = dim - guard if dim > guard else dim
+    block = dim - GUARD_BAND if dim > GUARD_BAND else dim
     dev = u.conj().T @ u - np.eye(dim)
     worst = np.max(np.abs(dev[:block, :block]))
-    if worst > tol:
+    if worst > _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary on the guarded block "
-                         f"(deviation {worst:.3e} > {tol})")
+                         f"(deviation {worst:.3e} > {_UNITARY_TOL})")
     return worst
 
 
-def validate_density(rho, herm_tol=_HERMITICITY_TOL, eig_tol=_EIGENVALUE_TOL,
-                     trace_tol=_TRACE_TOL):
+def validate_density(rho):
     """Check Hermiticity, positive semidefiniteness and unit trace."""
     rho = np.asarray(rho)
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > _HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} deviates from 1")
     eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < eig_tol:
+    if eigs.min() < _EIGENVALUE_TOL:
         raise ValueError(
             f"density matrix has negative eigenvalue {eigs.min():.3e}")
     return rho
 
 
-def guard_band_population(rho, guard=GUARD_BAND):
-    """Population in the top ``guard`` levels of a density matrix."""
+def guard_band_population(rho):
+    """Population in the top ``GUARD_BAND`` levels of a density matrix."""
     diag = np.real(np.diag(rho))
-    return float(diag[len(diag) - guard:].sum())
+    return float(diag[len(diag) - GUARD_BAND:].sum())
 
 
 def number_distribution(rho):
@@ -261,13 +260,13 @@ def number_distribution(rho):
     return probs
 
 
-def apply_unitary(u, rho, check_tail=True):
+def apply_unitary(u, rho):
     """Conjugate a density matrix, ``u rho u^dag``, with contract checks.
 
     The result is re-Hermitized to suppress accumulated round-off and its
-    trace is verified.  When ``check_tail`` is set, a result carrying more
-    than ``TAIL_TOL`` population in the guard band raises
-    :class:`TruncationError` instead of being returned.
+    trace is verified.  A result carrying more than ``TAIL_TOL``
+    population in the guard band raises :class:`TruncationError` instead
+    of being returned.
     """
     u = np.asarray(u, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -281,13 +280,12 @@ def apply_unitary(u, rho, check_tail=True):
     if abs(trace_after - trace_before) > _TRACE_TOL:
         raise ValueError(
             f"trace not preserved: {trace_before} -> {trace_after}")
-    if check_tail:
-        tail = guard_band_population(out)
-        if tail >= TAIL_TOL:
-            raise TruncationError(
-                f"state carries {tail:.3e} population in the top "
-                f"{GUARD_BAND} levels (tail-mass guard)",
-                min_dim=_advise_dim_from_tail(out))
+    tail = guard_band_population(out)
+    if tail >= TAIL_TOL:
+        raise TruncationError(
+            f"state carries {tail:.3e} population in the top "
+            f"{GUARD_BAND} levels (tail-mass guard)",
+            min_dim=_advise_dim_from_tail(out))
     return out
 
 

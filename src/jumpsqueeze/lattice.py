@@ -35,13 +35,13 @@ class TrapParams:
 
     def __post_init__(self):
         if self.omega1 <= 0 or self.omega2 <= 0:
-            raise ValueError("trap frequencies must be positive")
+            raise ValueError("frequencies omega1, omega2 must be positive")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.lattice_wavenumber <= 0:
-            raise ValueError("lattice wavenumber must be positive")
+            raise ValueError("lattice_wavenumber must be positive")
         if self.V0 <= 0:
-            raise ValueError("lattice depth must be positive")
+            raise ValueError("lattice depth V0 must be positive")
         if self.calibration <= 0:
             raise ValueError("calibration factor must be positive")
 
@@ -110,7 +110,7 @@ def bound_state_count(params):
     while mathieu_energy(count, q) <= v0_over_er:
         count += 1
         if count > 10000:
-            raise RuntimeError("bound-state count failed to terminate")
+            raise ValueError("bound-state count failed to terminate")
     return count
 
 

@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import MAX_DISPLACEMENT, MAX_SQUEEZE_AMPLITUDE
-
-MAX_INDEX = 512
+from .constants import MAX_DISPLACEMENT, MAX_INDEX, MAX_SQUEEZE_AMPLITUDE
 
 _LOG_TINY = -745.0  # exp underflows to 0 below this
 

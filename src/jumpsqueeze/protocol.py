@@ -12,7 +12,7 @@ sudden approximation, not simulated.
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -21,10 +21,9 @@ from . import fock
 from .bogoliubov import (BogoliubovPair, bogoliubov_from_jump, compose_jump,
                          compose_wait, squeeze_params_from_pair)
 from .constants import TWO_PI
-from .errors import ConfigError, TruncationError, check_number
+from .errors import (SCHEMA_VERSION, ConfigError, TruncationError,
+                     check_number, check_object, construct, read_json)
 from .lattice import metres_per_alpha, shift_from_coherent_alpha
-
-SCHEMA_VERSION = 1
 
 
 def _check_frequency(omega, what):
@@ -308,78 +307,53 @@ def builtin_protocol(name, params, n_jumps=None, alpha_i=None, r=None):
     return Protocol(omega1, tuple(steps))
 
 
+# Each step class's JSON "type", the JSON key of its value (None: no
+# value) and the unit scale from that JSON value to the class's SI value.
+_STEP_JSON = {
+    FrequencyJump: ("frequency_jump", "omega_new_hz", TWO_PI),
+    Wait: ("wait", "tau_s", 1.0),
+    ShiftOrigin: ("shift_origin", "d_m", 1.0),
+    UnshiftOrigin: ("unshift_origin", None, None),
+}
+_STEP_CLASSES = {kind: cls for cls, (kind, _, _) in _STEP_JSON.items()}
+
+
 def protocol_to_json(protocol):
     """Serialize to the plain-JSON protocol document."""
     steps = []
     for step in protocol.steps:
-        if isinstance(step, FrequencyJump):
-            steps.append({"type": "frequency_jump",
-                          "omega_new_hz": step.omega_new / TWO_PI})
-        elif isinstance(step, Wait):
-            steps.append({"type": "wait", "tau_s": step.tau})
-        elif isinstance(step, ShiftOrigin):
-            steps.append({"type": "shift_origin", "d_m": step.d})
-        else:
-            steps.append({"type": "unshift_origin"})
+        kind, key, scale = _STEP_JSON[type(step)]
+        steps.append({"type": kind})
+        for value in astuple(step):  # a step has at most one value
+            steps[-1][key] = value / scale
     return {"schema_version": SCHEMA_VERSION,
             "omega_initial_hz": protocol.omega_initial / TWO_PI,
             "steps": steps}
 
 
-def _require_keys(doc, required, optional=(), where="protocol"):
-    unknown = set(doc) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(doc)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _step_value(entry, key, where):
-    _require_keys(entry, ("type", key), where=where)
-    return check_number(entry[key], f"{where}.{key}")
-
-
 def protocol_from_json(doc):
     """Parse the plain-JSON protocol document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("protocol document must be a JSON object")
-    _require_keys(doc, ("omega_initial_hz", "steps"), ("schema_version",))
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported protocol schema_version "
-                          f"{doc['schema_version']}")
-    raw_steps = doc["steps"]
-    if not isinstance(raw_steps, list):
+    check_object(doc, "protocol", ("schema_version", "omega_initial_hz",
+                                   "steps"), ("omega_initial_hz", "steps"))
+    if not isinstance(doc["steps"], list):
         raise ConfigError("protocol steps must be a list")
     steps = []
-    for i, entry in enumerate(raw_steps):
+    for i, entry in enumerate(doc["steps"]):
         where = f"steps[{i}]"
-        if not isinstance(entry, dict) or "type" not in entry:
-            raise ConfigError(f"{where}: each step needs a 'type' field")
-        kind = entry["type"]
-        try:
-            if kind == "frequency_jump":
-                steps.append(FrequencyJump(
-                    TWO_PI * _step_value(entry, "omega_new_hz", where)))
-            elif kind == "wait":
-                steps.append(Wait(_step_value(entry, "tau_s", where)))
-            elif kind == "shift_origin":
-                steps.append(ShiftOrigin(_step_value(entry, "d_m", where)))
-            elif kind == "unshift_origin":
-                _require_keys(entry, ("type",), where=where)
-                steps.append(UnshiftOrigin())
-            else:
-                raise ConfigError(f"{where}: unknown step type {kind!r}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    omega_initial = TWO_PI * check_number(doc["omega_initial_hz"],
-                                          "omega_initial_hz")
-    try:
-        return Protocol(omega_initial, tuple(steps))
-    except ValueError as exc:
-        raise ConfigError(f"invalid protocol: {exc}") from exc
+        kind = entry.get("type") if isinstance(entry, dict) else entry
+        cls = _STEP_CLASSES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ConfigError(f"{where}: step type must be one of "
+                              f"{sorted(_STEP_CLASSES)}, got {kind!r}")
+        _, key, scale = _STEP_JSON[cls]
+        keys = ("type",) if key is None else ("type", key)
+        check_object(entry, where, keys, keys)
+        values = [check_number(entry[k], f"{where}.{k}", scale=scale)
+                  for k in keys[1:]]
+        steps.append(construct(cls, where, *values))
+    omega_initial = check_number(doc["omega_initial_hz"], "omega_initial_hz",
+                                 scale=TWO_PI)
+    return construct(Protocol, "invalid protocol", omega_initial, steps)
 
 
 def save_protocol(protocol, path):
@@ -389,11 +363,4 @@ def save_protocol(protocol, path):
 
 
 def load_protocol(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"malformed protocol JSON: {exc}") from exc
-    return protocol_from_json(doc)
+    return protocol_from_json(read_json(path, "protocol"))

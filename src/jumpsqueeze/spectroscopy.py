@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import MAX_INDEX
 from .errors import CutoffError
 from .matrix_elements import displacement_matrix_element_sq
 
@@ -28,13 +29,14 @@ class RabiParams:
 
     def __post_init__(self):
         if self.omega01 <= 0:
-            raise ValueError("Rabi frequency must be positive")
+            raise ValueError("Rabi frequency omega01 must be positive")
         if self.gamma < 0:
-            raise ValueError("decay rate must be nonnegative")
+            raise ValueError("decay rate gamma must be nonnegative")
         if self.pulse_t <= 0:
-            raise ValueError("pulse duration must be positive")
-        if self.n_max < 10:
-            raise ValueError("summation cutoff must be at least 10")
+            raise ValueError("pulse duration pulse_t must be positive")
+        if not 10 <= self.n_max <= MAX_INDEX:
+            raise ValueError(f"summation cutoff n_max must lie in "
+                             f"[10, {MAX_INDEX}], got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,13 @@ def thermal_weights(nbar0, l_max):
     return (1.0 - beta) * beta ** np.arange(l_max + 1)
 
 
-def default_l_max(nbar0, tail_tol=THERMAL_TAIL_TOL):
-    """Smallest cutoff whose thermal tail mass stays below ``tail_tol``."""
+def default_l_max(nbar0):
+    """Smallest cutoff with thermal tail mass below THERMAL_TAIL_TOL."""
     if nbar0 == 0:
         return 0
     beta = nbar0 / (1.0 + nbar0)
     # geometric tail beyond l_max is beta**(l_max + 1)
-    return max(0, math.ceil(math.log(tail_tol) / math.log(beta)) - 1)
+    return max(0, math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(beta)) - 1)
 
 
 def weighted_distribution(element_fn, nbar0, n_max, l_max=None):
@@ -146,8 +148,7 @@ def nbar_from_R(R):
     return R / (1.0 - R)
 
 
-def amplified_distribution_decohered(alpha_f, nbar0, dec, n_max=20,
-                                     l_max=None):
+def amplified_distribution_decohered(alpha_f, nbar0, dec, n_max=20):
     """Number distribution of an amplified displaced thermal state subject
     to exponential thermalization.
 
@@ -158,10 +159,8 @@ def amplified_distribution_decohered(alpha_f, nbar0, dec, n_max=20,
     weight = dec.coherent_weight
     displaced = weighted_distribution(
         lambda n, l: displacement_matrix_element_sq(n, l, alpha_f),
-        nbar0, n_max, l_max)
-    n_hot = nbar0 + abs(alpha_f) ** 2
-    n = np.arange(n_max + 1)
-    thermal = (1.0 / (1.0 + n_hot)) * (n_hot / (1.0 + n_hot)) ** n
+        nbar0, n_max)
+    thermal = thermal_weights(nbar0 + abs(alpha_f) ** 2, n_max)
     return weight * displaced + (1.0 - weight) * thermal
 
 

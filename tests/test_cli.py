@@ -1,17 +1,98 @@
+import copy
+import importlib.util
 import json
 import math
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpsqueeze.cli import main
 from jumpsqueeze.config import default_config_dict
-from jumpsqueeze.figures import FIGURE_IDS
+from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, for its CSV comparison rule."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     return str(path)
+
+
+NOT_INTEGERS = (st.none() | st.booleans() | st.text(max_size=3)
+                | st.floats(allow_nan=True, allow_infinity=True))
+EXTREMES = st.sampled_from([0, -1.0, 0.5, 1e-300, 1e300, 1.7e308, 10 ** 400])
+VALUES = (NOT_INTEGERS | EXTREMES | st.floats(min_value=1e-300, max_value=1e308)
+          | st.integers(-10 ** 6, 10 ** 6)
+          | st.lists(EXTREMES | st.floats(-4, 4), max_size=3))
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value in ``doc``, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+# The default config with the constants of fig2d (the figure run) and
+# fig4a (the one with a Fock dimension) set to their defaults as
+# overrides; fuzzed documents replace a few of its values.
+FULL_CONFIG = {**default_config_dict(), "figure_overrides": {
+    fig: dict(DEFAULT_CONSTANTS[fig]) for fig in ("fig2d", "fig4a")}}
+PATHS = [()] + list(_paths(FULL_CONFIG)) + [("comment",), ("trap", "comment")]
+
+
+def _value_for(path):
+    """Values for ``path``; where the default is an integer, only small
+    integers, so no document asks for a huge grid."""
+    default = FULL_CONFIG
+    for key in path:
+        default = default.get(key) if isinstance(default, dict) else None
+    if isinstance(default, int):
+        return NOT_INTEGERS | st.integers(-2, 60)
+    return VALUES
+
+
+def _edited(edits):
+    """FULL_CONFIG with the value at each path replaced (the empty path:
+    the whole document); an edit below a replaced object is dropped."""
+    doc = copy.deepcopy(FULL_CONFIG)
+    for path, value in edits:
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            parent[path[-1]] = value
+    return doc
+
+
+CONFIG_DOCS = st.lists(st.sampled_from(PATHS).flatmap(
+    lambda path: st.tuples(st.just(path), _value_for(path))),
+    max_size=3).map(_edited)
+
+
+def nested(key, value):
+    """The document that sets the dotted ``key`` to ``value``."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 @pytest.fixture()
@@ -50,8 +131,12 @@ class TestFigureCommand:
         code = main(["--out", str(tmp_path), "figure", "all",
                      "--plot-script"])
         assert code == 0
+        compare_csv = _benchmark_workloads().compare_csv
         for figure_id in FIGURE_IDS:
-            assert (tmp_path / f"{figure_id}.csv").exists()
+            text = (tmp_path / f"{figure_id}.csv").read_text(encoding="utf-8")
+            reference = (PERFBENCH / "reference" / f"{figure_id}.csv"
+                         ).read_text(encoding="utf-8")
+            assert compare_csv(text, reference) is None, figure_id
             assert (tmp_path / f"{figure_id}.gp").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
@@ -107,6 +192,62 @@ class TestConfigHandling:
         assert main(["--config", cfg_path, "--out", str(out),
                      "figure", figure_id]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document, key, value", [
+        ("config", "schema_version", True),
+        ("protocol", "schema_version", True),
+        ("config", "trap.omega1_hz", 1e308),
+        ("config", "rabi.omega01_hz", 1e308),
+        ("config", "rabi.n_max", 5),
+        ("config", "rabi.n_max", 513),
+        ("config", "selfcheck.element_n_max", 513),
+        ("config", "selfcheck.element_n_max", 20.5),
+        ("config", "selfcheck.element_r_values", [3.5]),
+        ("config", "fock_dim", 1025),
+        ("config", "figure_overrides.fig4a.fock_dim", 1025),
+    ])
+    def test_input_outside_domain_exits_2(self, tmp_path, capsys,
+                                          document, key, value):
+        out = tmp_path / "out"
+        if document == "config":
+            argv = ["--config", write_json(tmp_path / "cfg.json",
+                                           nested(key, value)),
+                    "--out", str(out), "figure", "fig2d"]
+        else:
+            argv = ["protocol", "run", write_json(
+                tmp_path / "proto.json",
+                {"omega_initial_hz": 93e3, "steps": [], key: value})]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        section, _, name = key.rpartition(".")
+        assert name in captured.err and section in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_DOCS)
+    def test_any_config_document_exits_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = main(["--config", write_json(Path(tmp) / "cfg.json", doc),
+                         "--out", str(out), "figure", "fig2d"])
+            assert code in (0, 2, 3)
+            if code == 0:
+                text = (out / "fig2d.csv").read_text(encoding="utf-8")
+                assert not re.search(r"\b(inf|nan)\b", text), text
+
+    @pytest.mark.parametrize("doc", [
+        # 2 * nbar0 overflows in the thermal broadening metadata
+        {"figure_overrides": {"fig2d": {"nbar0": 1.7e308}}},
+        # 2 * mass * omega1 underflows to 0 in the ground-state extent
+        {"trap": {"mass_kg": 1e-300, "omega1_hz": 1e-30}},
+    ])
+    def test_overflow_exits_3_writes_nothing(self, tmp_path, capsys, doc):
+        out = tmp_path / "out"
+        assert main(["--config", write_json(tmp_path / "cfg.json", doc),
+                     "--out", str(out), "figure", "fig2d"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):

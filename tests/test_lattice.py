@@ -95,6 +95,13 @@ class TestBoundStateCount:
         assert counts == sorted(counts)
         assert counts[0] < counts[-1]
 
+    def test_runaway_count_is_a_value_error(self, trap):
+        # about 1e4 levels below V0: the counting loop gives up
+        deep = TrapParams(trap.omega1, trap.omega2, trap.mass,
+                          trap.lattice_wavenumber, trap.V0 * 1e9)
+        with pytest.raises(ValueError, match="failed to terminate"):
+            bound_state_count(deep)
+
 
 class TestCoherentAlpha:
     def test_zero_shift(self, trap):

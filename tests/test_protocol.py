@@ -35,9 +35,13 @@ def shift_jump_unshift(trap):
 JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=4)
                 | st.integers() | st.just(10 ** 400)
                 | st.floats(allow_nan=True, allow_infinity=True))
+JSON_CONTAINERS = (st.lists(JSON_SCALARS, max_size=2)
+                   | st.dictionaries(st.text(max_size=4), JSON_SCALARS,
+                                     max_size=2))
 STEP_DOCS = st.fixed_dictionaries(
     {"type": st.sampled_from(["frequency_jump", "wait", "shift_origin",
-                              "unshift_origin"]) | JSON_SCALARS},
+                              "unshift_origin"])
+     | JSON_SCALARS | JSON_CONTAINERS},
     optional={"omega_new_hz": JSON_SCALARS, "tau_s": JSON_SCALARS,
               "d_m": JSON_SCALARS, "note": JSON_SCALARS})
 
@@ -243,6 +247,14 @@ class TestProtocolJson:
         with pytest.raises(ConfigError):
             protocol_from_json(doc)
 
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_SCALARS | JSON_CONTAINERS)
+    def test_any_other_step_type_is_a_config_error(self, kind):
+        # "wait" may be drawn as text; it lacks its tau_s key
+        with pytest.raises(ConfigError):
+            protocol_from_json({"omega_initial_hz": 93e3,
+                                "steps": [{"type": kind}]})
+
     @settings(max_examples=300, deadline=None)
     @given(st.fixed_dictionaries(
         {"omega_initial_hz": JSON_SCALARS,
@@ -255,6 +267,8 @@ class TestProtocolJson:
             proto = protocol_from_json(doc)
         except ConfigError:
             return
+        version = doc.get("schema_version", 1)
+        assert version == 1 and not isinstance(version, bool)
         omegas = [proto.omega_initial, proto.final_omega] + [
             s.omega_new for s in proto.steps if isinstance(s, FrequencyJump)]
         assert all(math.isfinite(w) and w > 0 for w in omegas)
