@@ -8,7 +8,6 @@ pair mean.  Not part of the public API.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 def characteristic_values(q, sector, n_values, fourier_order=80):
@@ -20,10 +19,9 @@ def characteristic_values(q, sector, n_values, fourier_order=80):
     if sector not in (0, 1):
         raise ValueError("sector must be 0 or 1")
     ks = np.arange(-fourier_order, fourier_order + 1)
-    diagonal = (2.0 * ks + sector) ** 2
-    off_diagonal = q * np.ones(len(ks) - 1)
-    vals, _ = eigh_tridiagonal(diagonal, off_diagonal)
-    return np.sort(vals)[:n_values]
+    coupling = q * (np.eye(len(ks), k=1) + np.eye(len(ks), k=-1))
+    return np.linalg.eigvalsh(np.diag((2.0 * ks + sector) ** 2)
+                              + coupling)[:n_values]
 
 
 def lattice_levels(q, n_levels, fourier_order=80):

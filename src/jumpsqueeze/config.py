@@ -17,6 +17,7 @@ from .constants import (HBAR, MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_INDEX,
 from .errors import (SCHEMA_VERSION, ConfigError, check_integer, check_number,
                      check_object, construct, read_json)
 from .figures import FIGURE_IDS, check_overrides
+from .fock import min_squeeze_dim
 from .lattice import TrapParams
 from .spectroscopy import RabiParams
 
@@ -120,6 +121,12 @@ def parse_config(doc):
         selfcheck[key] = [check_number(v, f"selfcheck.{key}[{i}]", -bound,
                                        maximum=bound)
                           for i, v in enumerate(values)]
+    for i, r in enumerate(selfcheck["element_r_values"]):
+        dim = min_squeeze_dim(r)
+        if dim > MAX_FOCK_DIM:
+            raise ConfigError(f"selfcheck.element_r_values[{i}]: |r| = "
+                              f"{abs(r)} needs Fock dimension {dim} > "
+                              f"{MAX_FOCK_DIM}")
     selfcheck["element_n_max"] = check_integer(
         selfcheck["element_n_max"], "selfcheck.element_n_max", 1, MAX_INDEX)
     selfcheck["alpha_i"] = check_number(

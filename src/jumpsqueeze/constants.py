@@ -18,3 +18,6 @@ MAX_DISPLACEMENT = 6.0
 # may ask for.
 MAX_INDEX = 512
 MAX_FOCK_DIM = 1024
+
+# Largest number of points a figure grid may ask for.
+MAX_GRID_POINTS = 100_000

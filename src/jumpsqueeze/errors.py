@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the input boundary:
-the JSON reader and the document, number and integer checks that turn a
-bad input into a :class:`ConfigError`."""
+"""Exception types shared across the package, the input boundary (the
+JSON reader and the document, number and integer checks that turn a bad
+input into a :class:`ConfigError`) and the one atomic file writer."""
 
 import json
 import math
+import os
+import tempfile
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +47,23 @@ def read_json(path, what):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed {what} JSON: {exc}") from exc
+
+
+def atomic_write(path, text):
+    """Write ``text`` as UTF-8 through a temp file plus rename, so a
+    failure never leaves partial output; creates the directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 def check_object(doc, where, allowed, required=()):

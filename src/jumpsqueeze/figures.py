@@ -10,7 +10,6 @@ sweeps use the thermal baseline (their fully dephased limit).
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict
 
@@ -18,8 +17,9 @@ import numpy as np
 
 from . import fock
 from .bogoliubov import squeeze_params_from_pair
-from .constants import MAX_FOCK_DIM, TWO_PI
-from .errors import ConfigError, check_integer, check_number, check_object
+from .constants import MAX_FOCK_DIM, MAX_GRID_POINTS, TWO_PI
+from .errors import (ConfigError, atomic_write, check_integer, check_number,
+                     check_object)
 from .lattice import TrapParams, coherent_alpha_from_shift, ground_state_widths
 from .matrix_elements import (displacement_matrix_element_sq,
                               squeeze_matrix_element_sq,
@@ -61,9 +61,11 @@ DEFAULT_CONSTANTS = {
 }
 
 # Domain of each figure constant that has one, as a check and its bounds;
-# every other constant must be a finite number.
+# every other constant must be a finite number.  The number of points of
+# a periods * points_per_period grid is bounded in check_overrides.
 CONSTANT_DOMAINS = {
-    "points": (check_integer, 1), "n_jumps_max": (check_integer, 1),
+    "points": (check_integer, 1, MAX_GRID_POINTS),
+    "n_jumps_max": (check_integer, 1, MAX_GRID_POINTS),
     "fock_dim": (check_integer, 2, MAX_FOCK_DIM),
     "nbar0": (check_number, 0), "periods": (check_number, 0, True),
     "points_per_period": (check_number, 0, True),
@@ -76,7 +78,8 @@ CONSTANT_DOMAINS = {
 
 def check_overrides(figure_id, overrides):
     """Return ``overrides`` of ``figure_id``'s constants, each checked
-    against its domain."""
+    against its domain, and with defaults filled in, a grid of at most
+    ``MAX_GRID_POINTS``."""
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: "
                           f"{', '.join(FIGURE_IDS)}")
@@ -86,6 +89,11 @@ def check_overrides(figure_id, overrides):
                                    DEFAULT_CONSTANTS[figure_id]).items():
         check, *bounds = CONSTANT_DOMAINS.get(key, (check_number,))
         checked[key] = check(value, f"{where}.{key}", *bounds)
+    constants = {**DEFAULT_CONSTANTS[figure_id], **checked}
+    if "periods" in constants:
+        check_number(constants["periods"] * constants["points_per_period"],
+                     f"{where}.periods * points_per_period",
+                     maximum=MAX_GRID_POINTS)
     return checked
 
 
@@ -171,11 +179,10 @@ def _squeezed_thermal_R(r_eff, nbar0, rabi):
     return sideband_populations(dist, rabi).R
 
 
-def _displaced_thermal_R(alpha, nbar0, rabi):
-    dist = weighted_distribution(
+def _displaced_thermal(alpha, nbar0, rabi):
+    return weighted_distribution(
         lambda n, l: displacement_matrix_element_sq(n, l, alpha),
         nbar0, rabi.n_max)
-    return sideband_populations(dist, rabi).R
 
 
 def _enveloped(spec, raw, times, rule, tau_key="envelope_tau_s"):
@@ -296,8 +303,10 @@ def _gen_fig3b(spec):
     for d in spec.sweep:
         alpha = coherent_alpha_from_shift(d, trap)
         alphas.append(alpha)
-        r_thermal.append(_displaced_thermal_R(alpha, nbar0, rabi))
-        r_coherent.append(_displaced_thermal_R(alpha, 0.0, rabi))
+        r_thermal.append(sideband_populations(
+            _displaced_thermal(alpha, nbar0, rabi), rabi).R)
+        r_coherent.append(sideband_populations(
+            _displaced_thermal(alpha, 0.0, rabi), rabi).R)
     cols = {"d_m": spec.sweep, "alpha": np.array(alphas),
             "R_displaced_thermal": np.array(r_thermal),
             "R_pure_coherent": np.array(r_coherent)}
@@ -313,7 +322,8 @@ def _gen_fig3c(spec):
         steps = (ShiftOrigin(d), Wait(tau), UnshiftOrigin())
         res = run_symplectic(Protocol(trap.omega1, steps), trap)
         alpha_abs.append(abs(res.displacement))
-        r_raw.append(_displaced_thermal_R(abs(res.displacement), nbar0, rabi))
+        r_raw.append(sideband_populations(_displaced_thermal(
+            abs(res.displacement), nbar0, rabi), rabi).R)
     r_raw = np.array(r_raw)
     env, env_meta = _enveloped(spec, r_raw, spec.sweep, "time-average")
     cols = {"tau_s": spec.sweep, "alpha_abs": np.array(alpha_abs),
@@ -356,10 +366,10 @@ def _gen_fig4c(spec):
         omega2 = trap.omega1 * math.exp(-two_r)
         t_prime = math.pi / trap.omega1 + math.pi / omega2
         dec = DecoherenceParams(gamma_dec, t_prime)
-        dist = amplified_distribution_decohered(alpha_f, nbar0, dec,
-                                                n_max=rabi.n_max)
-        r_dec.append(sideband_populations(dist, rabi).R)
-        r_raw.append(_displaced_thermal_R(abs(alpha_f), nbar0, rabi))
+        displaced = _displaced_thermal(alpha_f, nbar0, rabi)
+        r_dec.append(sideband_populations(amplified_distribution_decohered(
+            displaced, alpha_f, nbar0, dec), rabi).R)
+        r_raw.append(sideband_populations(displaced, rabi).R)
         alpha_f_abs.append(abs(alpha_f))
         t_primes.append(t_prime)
     cols = {"two_r": spec.sweep, "alpha_f_abs": np.array(alpha_f_abs),
@@ -415,23 +425,6 @@ def _fmt(value):
     return str(value)
 
 
-def _atomic_write(path, text):
-    """Write ``text`` as UTF-8 through a temp file plus rename, so a
-    failure never leaves partial output; creates the directory."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
 def emit_csv(table, path):
     """Write a curve table as UTF-8 CSV: '#' metadata block, header row,
     values with 9 significant digits.  The write is atomic."""
@@ -441,7 +434,7 @@ def emit_csv(table, path):
     lines.append(",".join(names))
     for i in range(len(arrays[0])):
         lines.append(",".join(_fmt(col[i]) for col in arrays))
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    return atomic_write(path, "\n".join(lines) + "\n")
 
 
 def emit_plot_script(table, csv_path, path):
@@ -450,7 +443,7 @@ def emit_plot_script(table, csv_path, path):
     plots = ", ".join(
         f"'{os.path.basename(csv_path)}' using 1:{i + 2} with lines "
         f"title '{name}'" for i, name in enumerate(names[1:]))
-    return _atomic_write(path, "\n".join([
+    return atomic_write(path, "\n".join([
         "set datafile separator ','",
         f"set xlabel '{names[0]}'",
         f"set title '{table.metadata.get('figure_id', '')}'",

@@ -2,11 +2,13 @@
 exponentials, thermal density matrices and number distributions.
 
 Operators are plain dense complex ``numpy`` arrays in the number basis
-``|0>, ..., |D-1>``.  Because the squeeze and displacement generators are
-exactly anti-Hermitian even after truncation, their exponentials are
-unitary to machine precision at any dimension; what truncation costs is
-faithfulness to the infinite-dimensional operator, which is what the
-tail-mass guard protects.
+``|0>, ..., |D-1>``.  The squeeze and displacement generators are
+exactly anti-Hermitian even after truncation, which is the precondition
+of :func:`matrix_exponential`: their exponentials come from one Hermitian
+eigendecomposition and are unitary to machine precision at any
+dimension.  What truncation costs is faithfulness to the
+infinite-dimensional operator, which is what the tail-mass guard
+protects.
 
 The top ``GUARD_BAND`` levels of the basis are treated as a sacrificial
 band: states carrying more than ``TAIL_TOL`` population there are
@@ -16,7 +18,6 @@ rejected rather than silently truncated.
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .constants import MAX_DISPLACEMENT, MAX_SQUEEZE_AMPLITUDE
 from .errors import TruncationError
@@ -53,11 +54,29 @@ def ladder_operators(dim):
 
 
 def matrix_exponential(matrix):
-    """Dense matrix exponential (scaling-and-squaring Pade, via SciPy)."""
+    """Exponential of an anti-Hermitian matrix ``K`` (``K^dag = -K``).
+
+    ``iK`` is Hermitian, so ``iK = V diag(lambda) V^dag`` with real
+    ``lambda`` and unitary ``V``, and ``exp(K) = V diag(exp(-i lambda))
+    V^dag``.  ``eigh`` reads only one triangle of its input, so a matrix
+    that is not anti-Hermitian is rejected rather than silently
+    symmetrized.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not finite, or ``K + K^dag`` deviates from zero by
+        more than round-off.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix exponential requires finite entries")
-    return scipy.linalg.expm(matrix)
+    dev = np.max(np.abs(matrix + matrix.conj().T))
+    if dev > _HERMITICITY_TOL * max(1.0, np.max(np.abs(matrix))):
+        raise ValueError(f"matrix exponential requires an anti-Hermitian "
+                         f"matrix (deviation {dev:.3e})")
+    lam, v = np.linalg.eigh(1j * matrix)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def squeezed_vacuum_populations(r, dim):

@@ -22,7 +22,8 @@ from .bogoliubov import (BogoliubovPair, bogoliubov_from_jump, compose_jump,
                          compose_wait, squeeze_params_from_pair)
 from .constants import TWO_PI
 from .errors import (SCHEMA_VERSION, ConfigError, TruncationError,
-                     check_number, check_object, construct, read_json)
+                     atomic_write, check_number, check_object, construct,
+                     read_json)
 from .lattice import metres_per_alpha, shift_from_coherent_alpha
 
 
@@ -357,9 +358,8 @@ def protocol_from_json(doc):
 
 
 def save_protocol(protocol, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(protocol_to_json(protocol), fh, indent=2)
-        fh.write("\n")
+    """Write the protocol document to ``path``; the write is atomic."""
+    atomic_write(path, json.dumps(protocol_to_json(protocol), indent=2) + "\n")
 
 
 def load_protocol(path):

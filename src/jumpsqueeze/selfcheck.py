@@ -43,13 +43,16 @@ class CheckResult:
 def oracle_dim_for_squeeze(r, n_l_max=20):
     """Truncation dimension at which the exact exponential's low matrix
     block (n, l <= n_l_max) is faithful to the ideal operator, from
-    measured convergence thresholds (safety factor included)."""
+    measured convergence thresholds (safety factor included), and never
+    below the tail-mass rule's :func:`fock.min_squeeze_dim`."""
     r = abs(r)
-    for cap, dim in ((0.5, 96), (1.0, 160), (1.3, 192), (1.6, 256),
-                     (2.0, 320)):
+    dim = 512
+    for cap, table_dim in ((0.5, 96), (1.0, 160), (1.3, 192), (1.6, 256),
+                           (2.0, 320)):
         if r <= cap:
-            return max(dim, 3 * n_l_max + 16)
-    return 512
+            dim = max(table_dim, 3 * n_l_max + 16)
+            break
+    return max(dim, fock.min_squeeze_dim(r))
 
 
 def oracle_dim_for_displacement(alpha, n_l_max=20):

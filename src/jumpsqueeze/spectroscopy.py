@@ -9,7 +9,6 @@ import numpy as np
 
 from .constants import MAX_INDEX
 from .errors import CutoffError
-from .matrix_elements import displacement_matrix_element_sq
 
 THERMAL_TAIL_TOL = 1e-8
 
@@ -148,19 +147,18 @@ def nbar_from_R(R):
     return R / (1.0 - R)
 
 
-def amplified_distribution_decohered(alpha_f, nbar0, dec, n_max=20):
+def amplified_distribution_decohered(displaced, alpha_f, nbar0, dec):
     """Number distribution of an amplified displaced thermal state subject
     to exponential thermalization.
 
-    The coherent fraction ``exp(-t'/Gamma)`` keeps the displaced thermal
-    distribution at ``alpha_f``; the remainder is a thermal distribution
-    with mean ``nbar0 + |alpha_f|^2``.
+    ``displaced`` is the displaced thermal distribution at ``alpha_f``
+    for n = 0..n_max (as :func:`weighted_distribution` gives it).  The
+    coherent fraction ``exp(-t'/Gamma)`` keeps it; the remainder is a
+    thermal distribution with mean ``nbar0 + |alpha_f|^2``.
     """
+    displaced = np.asarray(displaced, dtype=float)
     weight = dec.coherent_weight
-    displaced = weighted_distribution(
-        lambda n, l: displacement_matrix_element_sq(n, l, alpha_f),
-        nbar0, n_max)
-    thermal = thermal_weights(nbar0 + abs(alpha_f) ** 2, n_max)
+    thermal = thermal_weights(nbar0 + abs(alpha_f) ** 2, len(displaced) - 1)
     return weight * displaced + (1.0 - weight) * thermal
 
 

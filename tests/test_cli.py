@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jumpsqueeze
 from jumpsqueeze.cli import main
 from jumpsqueeze.config import default_config_dict
 from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
@@ -183,6 +186,10 @@ class TestConfigHandling:
         ("fig3b", "d_max_m", -math.inf),
         ("fig3b", "calibration", 0),
         ("fig2d", "squeeze_factor", -2.58),
+        ("fig2b", "points", 10 ** 12),
+        ("fig2a_inset", "n_jumps_max", 10 ** 12),
+        ("fig2c", "periods", 1e12),
+        ("fig4a", "points_per_period", 1e300),
     ])
     def test_override_outside_domain_exits_2(self, tmp_path, capsys,
                                              figure_id, key, value):
@@ -204,6 +211,8 @@ class TestConfigHandling:
         ("config", "selfcheck.element_n_max", 513),
         ("config", "selfcheck.element_n_max", 20.5),
         ("config", "selfcheck.element_r_values", [3.5]),
+        # |r| = 2.8 needs a Fock dimension above MAX_FOCK_DIM
+        ("config", "selfcheck.element_r_values", [2.8]),
         ("config", "fock_dim", 1025),
         ("config", "figure_overrides.fig4a.fock_dim", 1025),
     ])
@@ -382,6 +391,12 @@ class TestSelfcheck:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_large_element_amplitude_passes(self, tmp_path, capsys):
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              {"selfcheck": {"element_r_values": [2.5]}})
+        assert main(["--config", cfg_path, "selfcheck"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     def test_small_dim_large_amplitude_names_tail_guard(self, tmp_path,
                                                         capsys):
         cfg_path = write_json(
@@ -389,3 +404,35 @@ class TestSelfcheck:
             {"fock_dim": 16, "selfcheck": {"state_amplitudes": [1.6]}})
         assert main(["--config", cfg_path, "selfcheck"]) == 1
         assert "tail-mass" in capsys.readouterr().out
+
+
+# Runs every command in a fresh interpreter and fails if any of them
+# imported SciPy.
+NO_SCIPY_SCRIPT = """
+import sys
+from jumpsqueeze import cli
+from jumpsqueeze.config import load_config
+from jumpsqueeze.protocol import builtin_protocol, save_protocol
+out, cfg = sys.argv[1:]
+save_protocol(builtin_protocol("amplify", load_config().trap, alpha_i=0.5,
+                               r=0.2), out + "/proto.json")
+for argv in (["protocol", "run", out + "/proto.json"],
+             ["--config", cfg, "--out", out, "figure", "fig4a"],
+             ["--config", cfg, "selfcheck"]):
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "figure_overrides": {"fig4a": {"periods": 0.1}},
+        "selfcheck": {"element_r_values": [0.3], "element_alpha_values": [0.5],
+                      "element_n_max": 4, "state_amplitudes": [0.2]}})
+    src = Path(jumpsqueeze.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), cfg],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -50,6 +50,15 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             fock.matrix_exponential(bad)
 
+    @pytest.mark.parametrize("bad", [
+        [[0.0, 1.0], [1.0, 0.0]],          # Hermitian
+        [[0.0, 1.0], [0.0, 0.0]],          # one triangle only
+        [[1j, 2.0], [-2.0, 1j + 1e-9]],    # anti-Hermitian but for 1e-9
+    ])
+    def test_rejects_non_anti_hermitian(self, bad):
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            fock.matrix_exponential(np.array(bad))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.floats(min_value=0.1, max_value=50.0))

@@ -231,6 +231,22 @@ class TestProtocolJson:
         reloaded = json.loads(path.read_text())
         assert reloaded == doc
 
+    @pytest.mark.parametrize("failure", ["serialize", "rename"])
+    def test_failed_save_leaves_nothing(self, trap, tmp_path, monkeypatch,
+                                        failure):
+        if failure == "serialize":
+            # the document fails to serialize after its first keys
+            monkeypatch.setattr("jumpsqueeze.protocol.protocol_to_json",
+                                lambda proto: {"steps": [1, object()]})
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr("os.replace", refuse)
+        proto = builtin_protocol("amplify", trap, alpha_i=0.67, r=0.615)
+        with pytest.raises((TypeError, OSError)):
+            save_protocol(proto, tmp_path / "amplify.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_unknown_step_type(self):
         doc = {"omega_initial_hz": 93e3,
                "steps": [{"type": "teleport"}]}

@@ -19,6 +19,11 @@ def thermal_distribution(nbar0, n_max):
     return thermal_weights(nbar0, n_max)
 
 
+def displaced_thermal(alpha, nbar0, n_max):
+    return weighted_distribution(
+        lambda n, l: displacement_matrix_element_sq(n, l, alpha), nbar0, n_max)
+
+
 class TestRabiParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -163,17 +168,16 @@ class TestAmplifiedDecohered:
     def test_fresh_state_is_displaced_thermal(self):
         dec = DecoherenceParams(Gamma=32e-6, t_prime=0.0)
         alpha_f = 1.8
-        dist = amplified_distribution_decohered(alpha_f, 0.35, dec, n_max=20)
-        displaced = weighted_distribution(
-            lambda n, l: displacement_matrix_element_sq(n, l, alpha_f),
-            0.35, 20)
+        displaced = displaced_thermal(alpha_f, 0.35, 20)
+        dist = amplified_distribution_decohered(displaced, alpha_f, 0.35, dec)
         np.testing.assert_allclose(dist, displaced, rtol=1e-12)
 
     def test_late_time_is_hot_thermal(self):
         dec = DecoherenceParams(Gamma=32e-6, t_prime=1.0)
         alpha_f = 1.8
         n_hot = 0.35 + alpha_f ** 2
-        dist = amplified_distribution_decohered(alpha_f, 0.35, dec, n_max=20)
+        dist = amplified_distribution_decohered(
+            displaced_thermal(alpha_f, 0.35, 20), alpha_f, 0.35, dec)
         expected = thermal_distribution(n_hot, 20)
         np.testing.assert_allclose(dist, expected, rtol=1e-10)
 
@@ -184,7 +188,8 @@ class TestAmplifiedDecohered:
 
     def test_normalized_within_tail(self):
         dec = DecoherenceParams(Gamma=32e-6, t_prime=20e-6)
-        dist = amplified_distribution_decohered(1.5, 0.35, dec, n_max=40)
+        dist = amplified_distribution_decohered(
+            displaced_thermal(1.5, 0.35, 40), 1.5, 0.35, dec)
         assert dist.sum() == pytest.approx(1.0, abs=1e-3)
 
 
