@@ -6,7 +6,7 @@ composition, sideband spectroscopy and figure tables."""
 from .bogoliubov import (BogoliubovPair, SqueezeParams, bogoliubov_from_jump,
                          compose_jump, compose_wait, invert_pair, ln_u_plus_v,
                          squeeze_params_from_pair, squeezing_db)
-from .errors import ConfigError, CutoffError, TruncationError
+from .errors import ConfigError, TruncationError
 from .fock import (DEFAULT_DIM, GUARD_BAND, TAIL_TOL, apply_unitary,
                    displacement_operator_exact, free_evolution_operator,
                    ladder_operators, matrix_exponential, number_distribution,
@@ -15,8 +15,8 @@ from .fock import (DEFAULT_DIM, GUARD_BAND, TAIL_TOL, apply_unitary,
 from .lattice import (TrapParams, bound_state_count, coherent_alpha_from_shift,
                       energy_gap, ground_state_widths, harmonic_frequency,
                       mathieu_energy, shift_from_coherent_alpha)
-from .matrix_elements import (SqueezedThermalMoments,
-                              displacement_matrix_element_sq,
+from .matrix_elements import (SqueezedThermalMoments, displacement_block_sq,
+                              displacement_matrix_element_sq, squeeze_block_sq,
                               squeeze_matrix_element_sq,
                               squeezed_thermal_moments)
 from .protocol import (BUILTIN_PROTOCOLS, FrequencyJump, Protocol,

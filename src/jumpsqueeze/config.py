@@ -17,8 +17,8 @@ from .constants import (HBAR, MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_INDEX,
 from .errors import (SCHEMA_VERSION, ConfigError, check_integer, check_number,
                      check_object, construct, read_json)
 from .figures import FIGURE_IDS, check_overrides
-from .fock import min_squeeze_dim
 from .lattice import TrapParams
+from .selfcheck import oracle_dim_for_displacement, oracle_dim_for_squeeze
 from .spectroscopy import RabiParams
 
 DEFAULT_RECOIL_HZ = 2e3
@@ -121,14 +121,18 @@ def parse_config(doc):
         selfcheck[key] = [check_number(v, f"selfcheck.{key}[{i}]", -bound,
                                        maximum=bound)
                           for i, v in enumerate(values)]
-    for i, r in enumerate(selfcheck["element_r_values"]):
-        dim = min_squeeze_dim(r)
-        if dim > MAX_FOCK_DIM:
-            raise ConfigError(f"selfcheck.element_r_values[{i}]: |r| = "
-                              f"{abs(r)} needs Fock dimension {dim} > "
-                              f"{MAX_FOCK_DIM}")
-    selfcheck["element_n_max"] = check_integer(
+    n_max = selfcheck["element_n_max"] = check_integer(
         selfcheck["element_n_max"], "selfcheck.element_n_max", 1, MAX_INDEX)
+    for key, oracle_dim in (("element_r_values", oracle_dim_for_squeeze),
+                            ("element_alpha_values",
+                             oracle_dim_for_displacement)):
+        for i, value in enumerate(selfcheck[key]):
+            dim = oracle_dim(value, n_max)
+            if dim > MAX_FOCK_DIM:
+                raise ConfigError(
+                    f"selfcheck.{key}[{i}]: {value} with "
+                    f"selfcheck.element_n_max = {n_max} needs oracle Fock "
+                    f"dimension {dim} > {MAX_FOCK_DIM}")
     selfcheck["alpha_i"] = check_number(
         selfcheck["alpha_i"], "selfcheck.alpha_i", 0)
 

@@ -29,10 +29,6 @@ class TruncationError(ValueError):
         self.min_dim = min_dim
 
 
-class CutoffError(ValueError):
-    """A summation cutoff is too small for the requested tolerance."""
-
-
 class ConfigError(ValueError):
     """Configuration or input-file contents violate the schema."""
 

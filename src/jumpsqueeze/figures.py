@@ -11,6 +11,7 @@ sweeps use the thermal baseline (their fully dephased limit).
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -21,8 +22,7 @@ from .constants import MAX_FOCK_DIM, MAX_GRID_POINTS, TWO_PI
 from .errors import (ConfigError, atomic_write, check_integer, check_number,
                      check_object)
 from .lattice import TrapParams, coherent_alpha_from_shift, ground_state_widths
-from .matrix_elements import (displacement_matrix_element_sq,
-                              squeeze_matrix_element_sq,
+from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
                               squeezed_thermal_moments)
 from .protocol import (FrequencyJump, Protocol, ShiftOrigin, UnshiftOrigin,
                        Wait, amplified_alpha, builtin_protocol, run_fock,
@@ -173,16 +173,14 @@ def _with_calibration(trap, constants):
 
 
 def _squeezed_thermal_R(r_eff, nbar0, rabi):
-    dist = weighted_distribution(
-        lambda n, l: squeeze_matrix_element_sq(n, l, r_eff),
-        nbar0, rabi.n_max)
+    dist = weighted_distribution(partial(squeeze_block_sq, r_eff), nbar0,
+                                 rabi.n_max)
     return sideband_populations(dist, rabi).R
 
 
 def _displaced_thermal(alpha, nbar0, rabi):
-    return weighted_distribution(
-        lambda n, l: displacement_matrix_element_sq(n, l, alpha),
-        nbar0, rabi.n_max)
+    return weighted_distribution(partial(displacement_block_sq, alpha), nbar0,
+                                 rabi.n_max)
 
 
 def _enveloped(spec, raw, times, rule, tau_key="envelope_tau_s"):

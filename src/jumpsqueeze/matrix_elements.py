@@ -1,19 +1,26 @@
 """Closed-form squared matrix elements of the squeeze and displacement
 operators between number states, and squeezed-thermal number moments.
 
-The alternating finite sums are accumulated exactly (integer and rational
-arithmetic), with log-gamma prefactors applied in log space, so the
-results stay accurate to near machine precision over the full supported
-domain instead of losing digits to factorial cancellation.
+Each operator has one block evaluator: a numpy three-term recurrence in
+the lower index, vectorized over the index difference, whose terms stay
+of order one over the supported domain (indices up to ``MAX_INDEX``,
+``|r| <= 3``, ``|alpha| <= 6``).  Squeeze: the Jacobi polynomial
+``P_j^(d, p-1/2)(1 - 2 tanh^2 r)`` over its value at 1 (Kim, de Oliveira
+& Knight, PRA 40, 2494 (1989)) times a log-space prefactor.
+Displacement: the normalized Laguerre function ``<j+k|D|j>`` (Cahill &
+Glauber, Phys. Rev. 177, 1857 (1969)).  Against exact rational sums both
+agree to about 1e-12 absolute and 1e-10 relative.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .constants import MAX_DISPLACEMENT, MAX_INDEX, MAX_SQUEEZE_AMPLITUDE
 
-_LOG_TINY = -745.0  # exp underflows to 0 below this
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0)
+                           for k in range(MAX_INDEX + 1)])
 
 
 @dataclass(frozen=True)
@@ -25,99 +32,94 @@ class SqueezedThermalMoments:
 
 
 def _check_indices(n, l):
-    if n != int(n) or l != int(l) or n < 0 or l < 0:
-        raise ValueError(f"number-state indices must be nonnegative integers, "
-                         f"got n={n}, l={l}")
-    if n > MAX_INDEX or l > MAX_INDEX:
-        raise ValueError(f"number-state index out of range (max {MAX_INDEX})")
+    if not all(i == int(i) and 0 <= i <= MAX_INDEX for i in (n, l)):
+        raise ValueError(f"number-state indices must be integers in "
+                         f"[0, {MAX_INDEX}], got n={n}, l={l}")
     return int(n), int(l)
 
 
-def _log_abs_fraction(fr):
-    return math.log(fr.numerator if fr.numerator > 0 else -fr.numerator) \
-        - math.log(fr.denominator)
+def _squeeze_sq(r, n, l):
+    """|<n|S(r)|l>|^2 for broadcastable integer arrays ``n``, ``l``: one
+    recurrence column per distinct (l - n, parity) pair asked for."""
+    if not math.isfinite(r) or abs(r) > MAX_SQUEEZE_AMPLITUDE:
+        raise ValueError(f"squeeze amplitude out of range: {r}")
+    low, diff = np.minimum(n, l), np.abs(n - l)
+    column = diff - diff % 2 + low % 2
+    needed = np.unique(column)
+    d, p = np.divmod(needed, 2)  # entries n = 2j + p, l = n + 2d
+    a, b = d.astype(float), p - 0.5  # Jacobi parameters
+    t2 = math.tanh(r) ** 2
+    # q[j] = P_j^(a,b)(1 - 2 t2) / C(j + a, j); the q[j - 2] term
+    # vanishes at j = 1, and every q is exactly 1 at r = 0
+    q = np.ones((int(low.max()) // 2 + 1, len(needed)))
+    for j in range(1, len(q)):
+        s = 2 * j + a + b
+        q[j] = ((s - 1) * (s * (s - 2) * (1.0 - 2.0 * t2) + a * a - b * b)
+                * q[j - 1] - 2 * (j + b - 1) * s * (j - 1) * q[j - 2]) \
+            / (2 * (j + a + b) * (s - 2) * (j + a))
+    q = q[low // 2, np.searchsorted(needed, column)]
+    # prefactor applied to the amplitude, so neither factor overflows
+    log_prefactor = (_LOG_FACTORIAL[low + diff] - _LOG_FACTORIAL[low]
+                     - 2 * _LOG_FACTORIAL[diff // 2]) / 2
+    amplitude = (q * np.exp(log_prefactor) * (math.sqrt(t2) / 2) ** (diff // 2)
+                 / math.cosh(r) ** (low % 2 + 0.5))
+    return np.where(diff % 2, 0.0, amplitude ** 2)
+
+
+def _displacement_sq(alpha, n, l):
+    """|<n|D(alpha)|l>|^2 for broadcastable integer arrays ``n``, ``l``:
+    one recurrence column per distinct |l - n| asked for."""
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)
+            and abs(alpha) <= MAX_DISPLACEMENT):
+        raise ValueError(f"displacement out of range: {alpha}")
+    x = abs(alpha) ** 2
+    low, diff = np.minimum(n, l), np.abs(n - l)
+    k = np.unique(diff)
+    # f[j, k] = |<j+k|D|j>|, with f[0] = sqrt(x^k exp(-x) / k!) as a
+    # product that cannot overflow; the f[j - 1] term vanishes at j = 0
+    f = np.zeros((int(low.max()) + 1, len(k)))
+    f[0] = math.exp(-x / 2) * np.cumprod(np.sqrt(
+        np.append(1.0, x / np.arange(1, k.max() + 1))))[k]
+    for j in range(len(f) - 1):
+        f[j + 1] = ((2 * j + 1 + k - x) * f[j]
+                    - np.sqrt(j * (j + k)) * f[j - 1]) \
+            / np.sqrt((j + 1) * (j + 1 + k))
+    return f[low, np.searchsorted(k, diff)] ** 2
+
+
+def squeeze_block_sq(r, n_max, l_max):
+    """``|<n| S(r) |l>|^2`` for n = 0..n_max, l = 0..l_max and real
+    ``r``, ``|r| <= 3``, as an ``(n_max+1) x (l_max+1)`` array.
+
+    Symmetric in (n, l), even in ``r`` and zero wherever ``n + l`` is
+    odd (parity selection rule).
+    """
+    _check_indices(n_max, l_max)
+    return _squeeze_sq(r, *np.ogrid[:n_max + 1, :l_max + 1])
+
+
+def displacement_block_sq(alpha, n_max, l_max):
+    """``|<n| D(alpha) |l>|^2`` for n = 0..n_max, l = 0..l_max and
+    complex ``alpha``, ``|alpha| <= 6``, as an ``(n_max+1) x (l_max+1)``
+    array.  Symmetric in (n, l); depends on ``alpha`` only through
+    ``|alpha|^2``.
+    """
+    _check_indices(n_max, l_max)
+    return _displacement_sq(alpha, *np.ogrid[:n_max + 1, :l_max + 1])
 
 
 def squeeze_matrix_element_sq(n, l, r):
-    """|<n| S(r) |l>|^2 for a real squeeze amplitude ``r``.
-
-    Zero whenever ``n + l`` is odd (parity selection rule).  Negative
-    amplitudes are reduced through the adjoint relation
-    ``|<n|S(-r)|l>|^2 = |<l|S(r)|n>|^2``.
-
-    Parameters
-    ----------
-    n, l : int
-        Final and initial number states.
-    r : float
-        Squeeze amplitude, ``|r| <= 3``.
-
-    Returns
-    -------
-    float
-        The squared matrix element, a probability.
-    """
-    n, l = _check_indices(n, l)
-    if not math.isfinite(r) or abs(r) > MAX_SQUEEZE_AMPLITUDE:
-        raise ValueError(f"squeeze amplitude out of range: {r}")
-    if r == 0.0:
-        return 1.0 if n == l else 0.0
-    if r < 0.0:
-        n, l, r = l, n, -r
-    if (n + l) % 2 == 1:
-        return 0.0
-    sinh_r = math.sinh(r)
-    # sum_g (-1)^g (sinh r / 2)^(2g) / (g! (n-2g)! ((l-n)/2 + g)!), exact
-    x = Fraction(sinh_r) ** 2 / 4
-    total = Fraction(0)
-    for g in range(max(0, (n - l) // 2), n // 2 + 1):
-        m = (l - n) // 2 + g
-        term = x ** g / (math.factorial(g) * math.factorial(n - 2 * g)
-                         * math.factorial(m))
-        total += -term if g % 2 else term
-    if total == 0:
-        return 0.0
-    exact = math.factorial(l) * math.factorial(n) * total * total
-    log_value = (-(2 * n + 1) * math.log(math.cosh(r))
-                 + (l - n) * (math.log(math.tanh(r)) - math.log(2.0))
-                 + _log_abs_fraction(exact))
-    return 0.0 if log_value < _LOG_TINY else math.exp(log_value)
+    """|<n| S(r) |l>|^2 as a Python float: one entry of
+    :func:`squeeze_block_sq`, from one column of its recurrence."""
+    return float(_squeeze_sq(r, *map(np.array, _check_indices(n, l))))
 
 
 def displacement_matrix_element_sq(n, l, alpha):
-    """|<n| D(alpha) |l>|^2 for a complex displacement ``alpha``.
-
-    Depends on ``alpha`` only through ``|alpha|^2``.
-
-    Parameters
-    ----------
-    n, l : int
-        Final and initial number states.
-    alpha : complex
-        Displacement, ``|alpha| <= 6``.
-    """
-    n, l = _check_indices(n, l)
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("displacement must be finite")
-    if abs(alpha) > MAX_DISPLACEMENT:
-        raise ValueError(f"displacement out of range: |alpha| = {abs(alpha)}")
-    aa = abs(alpha) ** 2
-    if aa == 0.0:
-        return 1.0 if n == l else 0.0
-    # sum_g C(l,g) C(n,g) g! (-|alpha|^2)^(min-g), exact
-    a_fr = Fraction(aa)
-    m = min(n, l)
-    total = Fraction(0)
-    for g in range(m + 1):
-        term = (math.comb(l, g) * math.comb(n, g) * math.factorial(g)
-                * a_fr ** (m - g))
-        total += -term if (m - g) % 2 else term
-    if total == 0:
-        return 0.0
-    exact = total * total / (math.factorial(l) * math.factorial(n))
-    log_value = -aa + abs(l - n) * math.log(aa) + _log_abs_fraction(exact)
-    return 0.0 if log_value < _LOG_TINY else math.exp(log_value)
+    """|<n| D(alpha) |l>|^2 as a Python float: one entry of
+    :func:`displacement_block_sq`, from one column of its recurrence."""
+    return float(_displacement_sq(alpha, *map(np.array,
+                                              _check_indices(n, l))))
 
 
 def squeezed_thermal_moments(nbar0, s):

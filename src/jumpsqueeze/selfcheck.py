@@ -3,6 +3,7 @@ exact-exponential oracle, squeezed-thermal moments against density-matrix
 moments, symplectic against Fock backend distributions, and the lattice
 level expansion against plane-wave diagonalization."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -13,8 +14,7 @@ from ._mathieu import bound_level_count, lattice_levels
 from .constants import MAX_SQUEEZE_AMPLITUDE
 from .errors import TruncationError
 from .lattice import bound_state_count, mathieu_energy
-from .matrix_elements import (displacement_matrix_element_sq,
-                              squeeze_matrix_element_sq,
+from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
                               squeezed_thermal_moments)
 from .protocol import builtin_protocol, implied_state, run_fock
 
@@ -42,17 +42,20 @@ class CheckResult:
 
 def oracle_dim_for_squeeze(r, n_l_max=20):
     """Truncation dimension at which the exact exponential's low matrix
-    block (n, l <= n_l_max) is faithful to the ideal operator, from
-    measured convergence thresholds (safety factor included), and never
-    below the tail-mass rule's :func:`fock.min_squeeze_dim`."""
+    block (n, l <= n_l_max) is faithful to the ideal operator, and never
+    below the tail-mass rule's :func:`fock.min_squeeze_dim`.
+
+    From measured convergence thresholds, safety factor included: one
+    dimension per amplitude bucket up to n_l_max = 20, plus
+    1.25 exp(cap) per index above 20 (measured: about 1.1 exp(|r|)).
+    """
     r = abs(r)
-    dim = 512
     for cap, table_dim in ((0.5, 96), (1.0, 160), (1.3, 192), (1.6, 256),
-                           (2.0, 320)):
+                           (2.0, 320), (MAX_SQUEEZE_AMPLITUDE, 512)):
         if r <= cap:
-            dim = max(table_dim, 3 * n_l_max + 16)
             break
-    return max(dim, fock.min_squeeze_dim(r))
+    dim = table_dim + 1.25 * math.exp(cap) * max(0, n_l_max - 20)
+    return max(32 * math.ceil(dim / 32), fock.min_squeeze_dim(r))
 
 
 def oracle_dim_for_displacement(alpha, n_l_max=20):
@@ -61,37 +64,50 @@ def oracle_dim_for_displacement(alpha, n_l_max=20):
     return max(64, 32 * math.ceil(need / 32))
 
 
+def _check(name, tolerance):
+    """Make a function returning its worst deviation a check returning a
+    :class:`CheckResult`; a tail-mass guard that trips inside it fails
+    that check only."""
+    def decorate(worst_deviation):
+        @functools.wraps(worst_deviation)
+        def check(*args, **kwargs):
+            try:
+                worst = worst_deviation(*args, **kwargs)
+            except TruncationError as exc:
+                return CheckResult(name, math.inf, tolerance, False,
+                                   detail=f"tail-mass guard: {exc.args[0]}")
+            return CheckResult(name, worst, tolerance, worst <= tolerance)
+        return check
+    return decorate
+
+
+def _worst_element_deviation(values, n_max, block_sq, operator, oracle_dim):
+    """Largest |closed-form block - exact-exponential block| over the
+    amplitudes ``values``, for n, l <= n_max."""
+    worst = 0.0
+    for v in values:
+        oracle = operator(v, dim=oracle_dim(v, n_max))[:n_max + 1, :n_max + 1]
+        worst = max(worst, float(np.max(np.abs(
+            block_sq(v, n_max, n_max) - np.abs(oracle) ** 2))))
+    return worst
+
+
+@_check("squeeze matrix elements vs exact exponential", ELEMENT_TOL)
 def check_squeeze_elements(r_values, n_max=20):
-    worst = 0.0
-    for r in r_values:
-        dim = oracle_dim_for_squeeze(r, n_max)
-        op = fock.squeeze_operator_exact(abs(r), 0.0, dim)
-        block = np.abs(op[:n_max + 1, :n_max + 1]) ** 2
-        if r < 0:
-            block = block.T  # adjoint relation
-        for n in range(n_max + 1):
-            for l in range(n_max + 1):
-                dev = abs(squeeze_matrix_element_sq(n, l, r) - block[n, l])
-                worst = max(worst, dev)
-    return CheckResult("squeeze matrix elements vs exact exponential",
-                       worst, ELEMENT_TOL, worst <= ELEMENT_TOL)
+    return _worst_element_deviation(r_values, n_max, squeeze_block_sq,
+                                    fock.squeeze_operator_exact,
+                                    oracle_dim_for_squeeze)
 
 
+@_check("displacement matrix elements vs exact exponential", ELEMENT_TOL)
 def check_displacement_elements(alpha_values, n_max=20):
-    worst = 0.0
-    for alpha in alpha_values:
-        dim = oracle_dim_for_displacement(alpha, n_max)
-        op = fock.displacement_operator_exact(alpha, dim)
-        block = np.abs(op[:n_max + 1, :n_max + 1]) ** 2
-        for n in range(n_max + 1):
-            for l in range(n_max + 1):
-                dev = abs(displacement_matrix_element_sq(n, l, alpha)
-                          - block[n, l])
-                worst = max(worst, dev)
-    return CheckResult("displacement matrix elements vs exact exponential",
-                       worst, ELEMENT_TOL, worst <= ELEMENT_TOL)
+    return _worst_element_deviation(alpha_values, n_max,
+                                    displacement_block_sq,
+                                    fock.displacement_operator_exact,
+                                    oracle_dim_for_displacement)
 
 
+@_check("squeezed-thermal moments vs density-matrix oracle", MOMENT_TOL)
 def check_moments(amplitudes, nbar0, dim):
     worst = 0.0
     for s in amplitudes:
@@ -105,10 +121,10 @@ def check_moments(amplitudes, nbar0, dim):
         worst = max(worst,
                     abs(mean - moments.nbar_st) / max(moments.nbar_st, 1e-12),
                     abs(sd - moments.dnbar_st) / moments.dnbar_st)
-    return CheckResult("squeezed-thermal moments vs density-matrix oracle",
-                       worst, MOMENT_TOL, worst <= MOMENT_TOL)
+    return worst
 
 
+@_check("Fock vs symplectic backend distributions (TVD)", BACKEND_TVD_TOL)
 def check_backend_agreement(config):
     trap, nbar0, dim = config.trap, config.nbar0, config.fock_dim
     amplitudes = config.selfcheck["state_amplitudes"]
@@ -129,8 +145,7 @@ def check_backend_agreement(config):
         tvd = 0.5 * float(np.abs(fock.number_distribution(result.final_rho)
                                  - fock.number_distribution(implied)).sum())
         worst = max(worst, tvd)
-    return CheckResult("Fock vs symplectic backend distributions (TVD)",
-                       worst, BACKEND_TVD_TOL, worst <= BACKEND_TVD_TOL)
+    return worst
 
 
 def check_mathieu(trap):
@@ -153,21 +168,13 @@ def check_mathieu(trap):
 def run_selfcheck(config):
     """Run the full grid; returns (results, all_passed)."""
     sc = config.selfcheck
-    results = []
-    try:
-        results.append(check_squeeze_elements(sc["element_r_values"],
-                                              sc["element_n_max"]))
-        results.append(check_displacement_elements(sc["element_alpha_values"],
-                                                   sc["element_n_max"]))
-        moment_amps = sorted({s for r in sc["state_amplitudes"]
-                              for s in (r, 2 * r)
-                              if s <= MAX_SQUEEZE_AMPLITUDE})
-        results.append(check_moments(moment_amps, config.nbar0,
-                                     config.fock_dim))
-        results.append(check_backend_agreement(config))
-        results.extend(check_mathieu(config.trap))
-    except TruncationError as exc:
-        results.append(CheckResult(f"tail-mass guard: {exc.args[0]}",
-                                   math.inf, fock.TAIL_TOL, False))
-    passed = all(r.passed for r in results)
-    return results, passed
+    moment_amps = sorted({s for r in sc["state_amplitudes"] for s in (r, 2 * r)
+                          if s <= MAX_SQUEEZE_AMPLITUDE})
+    results = [
+        check_squeeze_elements(sc["element_r_values"], sc["element_n_max"]),
+        check_displacement_elements(sc["element_alpha_values"],
+                                    sc["element_n_max"]),
+        check_moments(moment_amps, config.nbar0, config.fock_dim),
+        check_backend_agreement(config),
+        *check_mathieu(config.trap)]
+    return results, all(r.passed for r in results)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MAX_INDEX
-from .errors import CutoffError
 
 THERMAL_TAIL_TOL = 1e-8
 
@@ -87,30 +86,18 @@ def default_l_max(nbar0):
     return max(0, math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(beta)) - 1)
 
 
-def weighted_distribution(element_fn, nbar0, n_max, l_max=None):
+def weighted_distribution(block_fn, nbar0, n_max):
     """Thermal-weighted number distribution
-    ``P_n = sum_l w_l(nbar0) element_fn(n, l)`` for n = 0..n_max.
+    ``P_n = sum_l w_l(nbar0) block_fn(n_max, l_max)[n, l]`` for
+    n = 0..n_max, with ``l_max = default_l_max(nbar0)``.
 
-    ``element_fn`` must be a squared (column-normalized) matrix element.
-    ``l_max`` defaults to the smallest cutoff with thermal tail mass
-    below 1e-8 and is rejected if set too small for that tolerance.
+    ``block_fn(n_max, l_max)`` must return the ``(n_max+1) x (l_max+1)``
+    block of squared (column-normalized) matrix elements.
     """
     if nbar0 < 0:
         raise ValueError("mean occupation must be nonnegative")
-    needed = default_l_max(nbar0)
-    if l_max is None:
-        l_max = needed
-    elif l_max < needed:
-        tail = (nbar0 / (1.0 + nbar0)) ** (l_max + 1)
-        raise CutoffError(
-            f"l_max={l_max} leaves thermal tail mass {tail:.3e} "
-            f"(needs l_max >= {needed})")
-    weights = thermal_weights(nbar0, l_max)
-    probs = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        probs[n] = math.fsum(weights[l] * element_fn(n, l)
-                             for l in range(l_max + 1))
-    return probs
+    l_max = default_l_max(nbar0)
+    return block_fn(n_max, l_max) @ thermal_weights(nbar0, l_max)
 
 
 def sideband_populations(dist, rabi):

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from jumpsqueeze.figures import build_spec, emit_csv, generate
 from jumpsqueeze.lattice import (TrapParams, bound_state_count,
                                  coherent_alpha_from_shift,
                                  ground_state_widths, harmonic_frequency)
-from jumpsqueeze.matrix_elements import (displacement_matrix_element_sq,
+from jumpsqueeze.matrix_elements import (displacement_block_sq,
+                                         displacement_matrix_element_sq,
+                                         squeeze_block_sq,
                                          squeeze_matrix_element_sq,
                                          squeezed_thermal_moments)
 from jumpsqueeze.protocol import (amplified_alpha, builtin_protocol,
@@ -253,12 +256,12 @@ def test_criterion_10_property_suite(config, tmp_path):
     shifts = []
     for s, nbar0 in [(0.4, 0.22), (0.7, 0.22), (0.7, 0.38)]:
         dist = weighted_distribution(
-            lambda n, l: squeeze_matrix_element_sq(n, l, s), nbar0, 40)
+            partial(squeeze_block_sq, s), nbar0, 40)
         shifts.append(abs(sideband_populations(dist, rabi40).R
                           - sideband_populations(dist, rabi).R))
     for alpha, nbar0 in [(1.0, 0.22), (2.0, 0.35), (2.5, 0.35)]:
         dist = weighted_distribution(
-            lambda n, l: displacement_matrix_element_sq(n, l, alpha),
+            partial(displacement_block_sq, alpha),
             nbar0, 40)
         shifts.append(abs(sideband_populations(dist, rabi40).R
                           - sideband_populations(dist, rabi).R))

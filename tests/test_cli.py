@@ -21,10 +21,10 @@ from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _benchmark_workloads():
-    """The benchmark's workload module, for its CSV comparison rule."""
+def _benchmark_module(name):
+    """A module of the benchmark harness, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -134,13 +134,38 @@ class TestFigureCommand:
         code = main(["--out", str(tmp_path), "figure", "all",
                      "--plot-script"])
         assert code == 0
-        compare_csv = _benchmark_workloads().compare_csv
+        compare_csv = _benchmark_module("workloads").compare_csv
         for figure_id in FIGURE_IDS:
             text = (tmp_path / f"{figure_id}.csv").read_text(encoding="utf-8")
             reference = (PERFBENCH / "reference" / f"{figure_id}.csv"
                          ).read_text(encoding="utf-8")
             assert compare_csv(text, reference) is None, figure_id
             assert (tmp_path / f"{figure_id}.gp").exists()
+
+    def test_benchmark_tracer_finds_every_function(self):
+        # the traced benchmark wraps functions by module and name, so a
+        # rename must fail here rather than break traced runs
+        tracer_module = _benchmark_module("tracer")
+        listed = [(module, name)
+                  for module, names in tracer_module.SPANNED.items()
+                  for name in names]
+        listed += [(module, name)
+                   for module, names in tracer_module.AGGREGATED.items()
+                   for name in names]
+
+        def current():
+            return [getattr(sys.modules[f"jumpsqueeze.{module}"], name)
+                    for module, name in listed]
+
+        originals = current()
+        tracer = tracer_module.Tracer()
+        tracer.install(jumpsqueeze)
+        try:
+            wrapped = current()
+        finally:
+            tracer.uninstall()
+        assert all(w is not o for w, o in zip(wrapped, originals))
+        assert all(c is o for c, o in zip(current(), originals))
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("JUMPSQUEEZE_OUT", str(tmp_path / "envdir"))
@@ -213,6 +238,9 @@ class TestConfigHandling:
         ("config", "selfcheck.element_r_values", [3.5]),
         # |r| = 2.8 needs a Fock dimension above MAX_FOCK_DIM
         ("config", "selfcheck.element_r_values", [2.8]),
+        # the squeeze oracle for the default amplitudes needs a Fock
+        # dimension above MAX_FOCK_DIM at this element_n_max
+        ("config", "selfcheck.element_n_max", 512),
         ("config", "fock_dim", 1025),
         ("config", "figure_overrides.fig4a.fock_dim", 1025),
     ])
@@ -404,6 +432,26 @@ class TestSelfcheck:
             {"fock_dim": 16, "selfcheck": {"state_amplitudes": [1.6]}})
         assert main(["--config", cfg_path, "selfcheck"]) == 1
         assert "tail-mass" in capsys.readouterr().out
+
+    def test_larger_element_n_max_passes(self, tmp_path, capsys):
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              {"selfcheck": {"element_n_max": 40}})
+        assert main(["--config", cfg_path, "selfcheck"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    def test_truncation_fails_its_check_and_the_rest_still_run(
+            self, tmp_path, capsys):
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              {"selfcheck": {"state_amplitudes": [2.0]}})
+        assert main(["--config", cfg_path, "selfcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed and all("tail-mass guard" in line for line in failed)
+        assert any(line.startswith("FAIL  squeezed-thermal moments")
+                   for line in lines)
+        assert sum(line.startswith("pass  lattice level expansion")
+                   or line.startswith("pass  bound-state count")
+                   for line in lines) == 2
 
 
 # Runs every command in a fresh interpreter and fails if any of them

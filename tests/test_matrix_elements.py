@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_elements
 from jumpsqueeze import fock
-from jumpsqueeze.matrix_elements import (displacement_matrix_element_sq,
+from jumpsqueeze.constants import MAX_INDEX
+from jumpsqueeze.matrix_elements import (displacement_block_sq,
+                                         displacement_matrix_element_sq,
+                                         squeeze_block_sq,
                                          squeeze_matrix_element_sq,
                                          squeezed_thermal_moments)
 from jumpsqueeze.selfcheck import (oracle_dim_for_displacement,
                                    oracle_dim_for_squeeze)
+
+CORNERS = [(0, 0), (0, MAX_INDEX), (MAX_INDEX, 0), (MAX_INDEX, MAX_INDEX)]
 
 
 def squeeze_block_oracle(r, n_max):
@@ -148,6 +154,61 @@ class TestDisplacementElement:
     def test_is_probability(self, n, l, alpha):
         value = displacement_matrix_element_sq(n, l, alpha)
         assert 0.0 <= value <= 1.0 + 1e-12
+
+
+def sampled_entries(seed, count, same_parity):
+    """``count`` seeded (n, l) pairs up to MAX_INDEX plus the corners;
+    ``same_parity`` keeps n + l even (the nonzero squeeze entries)."""
+    rng = np.random.default_rng(seed)
+    n, l = rng.integers(0, MAX_INDEX + 1, size=(2, count))
+    if same_parity:
+        l = np.where((n + l) % 2, np.abs(l - 1), l)
+    return CORNERS + [(int(a), int(b)) for a, b in zip(n, l)]
+
+
+def assert_matches_reference(block, single, reference, entries):
+    """Block entries within 1e-11 absolute and, where the reference
+    exceeds 1e-300, 1e-9 relative of the exact-rational reference; the
+    single-entry function agrees with the block."""
+    for n, l in entries:
+        ref = reference(n, l)
+        assert abs(block[n, l] - ref) <= 1e-11, (n, l, block[n, l], ref)
+        if ref > 1e-300:
+            assert abs(block[n, l] - ref) <= 1e-9 * ref, (n, l, ref)
+        assert single(n, l) == pytest.approx(block[n, l], rel=1e-12,
+                                             abs=1e-300)
+
+
+class TestBlocksAgainstExactReference:
+    """The recurrences against exact rational sums over the whole index
+    range, where the Fock oracle would need dimensions far above
+    MAX_FOCK_DIM."""
+
+    @pytest.mark.parametrize("r", [-3.0, -1.6, 0.05, 0.8, 2.2])
+    def test_squeeze(self, r):
+        assert_matches_reference(
+            squeeze_block_sq(r, MAX_INDEX, MAX_INDEX),
+            lambda n, l: squeeze_matrix_element_sq(n, l, r),
+            lambda n, l: exact_elements.squeeze_sq(n, l, r),
+            sampled_entries(int(1000 * (r + 3)), 8, same_parity=True))
+
+    @pytest.mark.parametrize("alpha", [0.125, 1.5, 3.0 * np.exp(0.7j), 6.0])
+    def test_displacement(self, alpha):
+        assert_matches_reference(
+            displacement_block_sq(alpha, MAX_INDEX, MAX_INDEX),
+            lambda n, l: displacement_matrix_element_sq(n, l, alpha),
+            lambda n, l: exact_elements.displacement_sq(n, l, alpha),
+            sampled_entries(int(1000 * abs(alpha)), 24, same_parity=False))
+
+    def test_blocks_are_symmetric_and_squeeze_even(self):
+        block = squeeze_block_sq(1.3, 40, 30)
+        assert block.shape == (41, 31)
+        np.testing.assert_array_equal(block, squeeze_block_sq(-1.3, 40, 30))
+        np.testing.assert_array_equal(block[:31], block[:31].T)
+        full = displacement_block_sq(2.0, 40, 40)
+        np.testing.assert_array_equal(full, full.T)
+        np.testing.assert_array_equal(displacement_block_sq(2.0, 40, 30),
+                                      full[:, :31])
 
 
 class TestSqueezedThermalMoments:
