@@ -340,10 +340,11 @@ def _gen_fig4a(spec):
     initial = fock.thermal_density_matrix(nbar0, dim)
     prepared = run_fock(proto, trap, initial=initial, dim=dim).final_rho
     undo = fock.displacement_operator_exact(-alpha_i, dim)
+    fock.validate_unitary(undo)
     r_raw = []
     for tau in spec.sweep:
-        wait = fock.free_evolution_operator(trap.omega1, tau, dim)
-        rho = fock.apply_unitary(undo, fock.apply_unitary(wait, prepared))
+        rho = fock.conjugate(
+            undo, fock.apply_free_evolution(trap.omega1, tau, prepared))
         dist = fock.number_distribution(rho)
         r_raw.append(sideband_populations(dist, rabi).R)
     r_raw = np.array(r_raw)

@@ -1,20 +1,29 @@
-"""Truncated Fock-space numerics: ladder operators, exact operator
-exponentials, thermal density matrices and number distributions.
+"""Truncated Fock-space numerics: ladder operators, squeeze and
+displacement operators, thermal density matrices and number
+distributions.
 
 Operators are plain dense complex ``numpy`` arrays in the number basis
-``|0>, ..., |D-1>``.  The squeeze and displacement generators are
-exactly anti-Hermitian even after truncation, which is the precondition
-of :func:`matrix_exponential`: their exponentials come from one Hermitian
-eigendecomposition and are unitary to machine precision at any
-dimension.  What truncation costs is faithfulness to the
-infinite-dimensional operator, which is what the tail-mass guard
-protects.
+``|0>, ..., |D-1>``.  A diagonal phase change makes both generators real
+and symmetric: with ``P = diag(exp(i pi n / 4))`` the squeeze generator
+``(a^2 - adag^2) / 2`` is ``i P H P^dag`` for ``H = (a^2 + adag^2) / 2``,
+which couples only levels of equal parity, and with ``P = diag(i^n)``
+the displacement generator ``adag - a`` is ``-i P X P^dag`` for the
+Hermite Jacobi matrix ``X = a + adag``.  So every squeeze and
+displacement at one dimension is ``P V diag(exp(i s lambda)) V^T P^dag``
+in one real eigenbasis ``(lambda, V)`` of ``H`` (two half-size parity
+blocks) or of ``X``.  Each basis is computed once per dimension, with
+its orthogonality checked then, and cached.  The truncated operators are
+therefore unitary to machine precision at any dimension; what
+truncation costs is faithfulness to the infinite-dimensional operator,
+which is what the tail-mass guard protects.
 
 The top ``GUARD_BAND`` levels of the basis are treated as a sacrificial
 band: states carrying more than ``TAIL_TOL`` population there are
 rejected rather than silently truncated.
 """
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -30,6 +39,10 @@ _UNITARY_TOL = 1e-8
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_TOL = -1e-10
 _TRACE_TOL = 1e-8
+
+# Each cached basis of dimension D holds about 8 D^2 bytes of
+# eigenvectors (8 MB at the largest dimension, MAX_FOCK_DIM).
+_BASIS_CACHE_SIZE = 8
 
 
 def ladder_operators(dim):
@@ -127,11 +140,133 @@ def min_displacement_dim(alpha):
     raise TruncationError(f"no practical dimension holds displacement {alpha}")
 
 
+def _eigenbasis(levels, off_diagonal):
+    """Eigenbasis ``(levels, lambda, vt)`` of the real symmetric
+    tridiagonal matrix with zero diagonal and the given off-diagonal,
+    acting on the number states ``levels`` (a slice).  The rows of ``vt``
+    are the eigenvectors; their orthogonality is checked here, once."""
+    t = np.diag(off_diagonal, 1)
+    lam, v = np.linalg.eigh(t + t.T)
+    vt = np.ascontiguousarray(v.T)
+    dev = np.max(np.abs(vt @ v - np.eye(len(lam))))
+    if dev > _UNITARY_TOL:
+        raise ValueError(f"eigenbasis is not orthogonal "
+                         f"(deviation {dev:.3e} > {_UNITARY_TOL})")
+    lam.flags.writeable = False
+    vt.flags.writeable = False
+    return levels, lam, vt
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def squeeze_basis(dim):
+    """Eigenbasis of ``H = (a^2 + adag^2) / 2`` on ``dim`` levels, one
+    ``(levels, lambda, vt)`` block per parity (see :func:`_eigenbasis`).
+
+    ``H[n, n+2] = sqrt((n+1)(n+2)) / 2`` is its only nonzero band, so the
+    even and the odd levels form two tridiagonal blocks of half size.
+    """
+    blocks = []
+    for parity in (0, 1):
+        n = np.arange(parity, dim - 2, 2, dtype=float)
+        blocks.append(_eigenbasis(slice(parity, dim, 2),
+                                  0.5 * np.sqrt((n + 1.0) * (n + 2.0))))
+    return tuple(blocks)
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def displacement_basis(dim):
+    """Eigenbasis of ``X = a + adag`` (``X[n-1, n] = sqrt(n)``) on ``dim``
+    levels, as a single ``(levels, lambda, vt)`` block."""
+    return (_eigenbasis(slice(0, dim), np.sqrt(np.arange(1.0, dim))),)
+
+
+def _operator_blocks(basis, angle, scale):
+    """The diagonal blocks ``(levels, U_b)`` of ``U = P W P^dag``, with
+    ``P = diag(exp(i angle n))`` and ``W = V diag(exp(i scale lambda))
+    V^T`` from ``basis``; off its blocks ``U`` is zero.
+
+    ``W`` comes from one real x complex product on the float view, so the
+    real ``V`` is never upcast.  At ``scale == 0`` every ``W`` is the
+    identity, which ``V V^T`` would reproduce only to round-off.
+    """
+    phases = np.exp(1j * angle * np.arange(sum(len(b[1]) for b in basis)))
+    blocks = []
+    for levels, lam, vt in basis:
+        if scale == 0:
+            w = np.eye(len(lam), dtype=complex)
+        else:
+            rows = np.exp(1j * scale * lam)[:, None] * vt
+            w = (vt.T @ rows.view(np.float64)).view(complex)
+        p = phases[levels]
+        blocks.append((levels, p[:, None] * w * p.conj()))
+    return blocks
+
+
+def _dense_operator(blocks):
+    """The dense operator with the diagonal blocks of
+    :func:`_operator_blocks`."""
+    dim = sum(len(u) for _, u in blocks)
+    out = np.zeros((dim, dim), dtype=complex)
+    for levels, u in blocks:
+        out[levels, levels] = u
+    return out
+
+
+def _conjugate_blocks(blocks, rho):
+    """``U rho U^dag`` for the Hermitian ``rho`` and the block-diagonal
+    ``U`` of :func:`_operator_blocks`, without forming ``U``.  For the two
+    parity blocks of a squeeze that is three pairs of half-size products:
+    the fourth block of the Hermitian result is the adjoint of its
+    mirror."""
+    out = np.empty_like(rho)
+    for i, (rows, u_rows) in enumerate(blocks):
+        for cols, u_cols in blocks[i:]:
+            out[rows, cols] = u_rows @ rho[rows, cols] @ u_cols.conj().T
+            if cols != rows:
+                out[cols, rows] = out[rows, cols].conj().T
+    return out
+
+
+def _squeeze_blocks(r, theta, dim):
+    """The blocks of S(r, theta) on ``dim`` levels, after the domain and
+    tail-mass checks (raises like :func:`squeeze_operator_exact`)."""
+    if not math.isfinite(r) or not math.isfinite(theta):
+        raise ValueError("squeeze parameters must be finite")
+    if abs(r) > MAX_SQUEEZE_AMPLITUDE:
+        raise ValueError(
+            f"|r| = {abs(r)} exceeds supported amplitude {MAX_SQUEEZE_AMPLITUDE}")
+    needed = min_squeeze_dim(r)
+    if dim < needed:
+        raise TruncationError(
+            f"dimension {dim} too small for squeeze amplitude |r| = {abs(r)}: "
+            "tail-mass rule violated in the guard band", min_dim=needed)
+    return _operator_blocks(squeeze_basis(dim), 0.25 * math.pi + theta, r)
+
+
+def _displacement_blocks(alpha, dim):
+    """The block of D(alpha) on ``dim`` levels, after the domain and
+    tail-mass checks (raises like :func:`displacement_operator_exact`)."""
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError("displacement must be finite")
+    if abs(alpha) > MAX_DISPLACEMENT:
+        raise ValueError(
+            f"|alpha| = {abs(alpha)} exceeds supported range {MAX_DISPLACEMENT}")
+    needed = min_displacement_dim(alpha)
+    if dim < needed:
+        raise TruncationError(
+            f"dimension {dim} too small for displacement |alpha| = {abs(alpha)}: "
+            "tail-mass rule violated in the guard band", min_dim=needed)
+    return _operator_blocks(displacement_basis(dim),
+                            0.5 * math.pi + cmath.phase(alpha), -abs(alpha))
+
+
 def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
     """Unitary squeeze operator S(xi) with xi = r * exp(2i*theta).
 
-    Built as the exponential of ``(conj(xi) a^2 - xi adag^2) / 2`` on the
-    truncated basis.
+    The exponential of ``(conj(xi) a^2 - xi adag^2) / 2`` on the truncated
+    basis, built as ``P V diag(exp(i r lambda)) V^T P^dag`` with ``P =
+    diag(exp(i (pi/4 + theta) n))`` from the cached :func:`squeeze_basis`.
 
     Parameters
     ----------
@@ -150,41 +285,27 @@ def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
         If ``dim`` cannot hold the squeezed vacuum within the tail-mass
         rule; carries an advisory minimum dimension.
     """
-    if not math.isfinite(r) or not math.isfinite(theta):
-        raise ValueError("squeeze parameters must be finite")
-    if abs(r) > MAX_SQUEEZE_AMPLITUDE:
-        raise ValueError(
-            f"|r| = {abs(r)} exceeds supported amplitude {MAX_SQUEEZE_AMPLITUDE}")
-    needed = min_squeeze_dim(r)
-    if dim < needed:
-        raise TruncationError(
-            f"dimension {dim} too small for squeeze amplitude |r| = {abs(r)}: "
-            "tail-mass rule violated in the guard band", min_dim=needed)
-    a, adag = ladder_operators(dim)
-    xi = r * np.exp(2j * theta)
-    gen = 0.5 * (np.conj(xi) * (a @ a) - xi * (adag @ adag))
-    return matrix_exponential(gen)
+    return _dense_operator(_squeeze_blocks(r, theta, dim))
 
 
 def displacement_operator_exact(alpha, dim=DEFAULT_DIM):
-    """Unitary displacement operator ``exp(alpha adag - conj(alpha) a)``.
+    """Unitary displacement operator ``exp(alpha adag - conj(alpha) a)``,
+    built as ``P V diag(exp(-i |alpha| lambda)) V^T P^dag`` with ``P =
+    diag(exp(i (pi/2 + arg alpha) n))`` from the cached
+    :func:`displacement_basis`.
 
     Raises like :func:`squeeze_operator_exact`, with the tail rule
     evaluated on the Poisson distribution of D(alpha)|0>.
     """
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("displacement must be finite")
-    if abs(alpha) > MAX_DISPLACEMENT:
-        raise ValueError(
-            f"|alpha| = {abs(alpha)} exceeds supported range {MAX_DISPLACEMENT}")
-    needed = min_displacement_dim(alpha)
-    if dim < needed:
-        raise TruncationError(
-            f"dimension {dim} too small for displacement |alpha| = {abs(alpha)}: "
-            "tail-mass rule violated in the guard band", min_dim=needed)
-    a, adag = ladder_operators(dim)
-    return matrix_exponential(alpha * adag - np.conj(alpha) * a)
+    return _dense_operator(_displacement_blocks(alpha, dim))
+
+
+def _free_evolution_phases(omega, tau, dim):
+    if omega <= 0:
+        raise ValueError(f"frequency must be positive, got {omega}")
+    if tau < 0:
+        raise ValueError(f"evolution time must be nonnegative, got {tau}")
+    return np.exp(-1j * np.arange(dim) * omega * tau)
 
 
 def free_evolution_operator(omega, tau, dim=DEFAULT_DIM):
@@ -193,12 +314,7 @@ def free_evolution_operator(omega, tau, dim=DEFAULT_DIM):
     The zero-point phase exp(-i omega tau / 2) is dropped; only
     populations and relative phases enter any observable here.
     """
-    if omega <= 0:
-        raise ValueError(f"frequency must be positive, got {omega}")
-    if tau < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {tau}")
-    phases = np.exp(-1j * np.arange(dim) * omega * tau)
-    return np.diag(phases)
+    return np.diag(_free_evolution_phases(omega, tau, dim))
 
 
 def thermal_density_matrix(nbar0, dim=DEFAULT_DIM):
@@ -247,7 +363,13 @@ def validate_unitary(u):
 
 
 def validate_density(rho):
-    """Check Hermiticity, positive semidefiniteness and unit trace."""
+    """Check Hermiticity, positive semidefiniteness and unit trace.
+
+    No eigenvalue may lie below ``_EIGENVALUE_TOL``; that holds exactly
+    when the Hermitian part minus ``_EIGENVALUE_TOL`` times the identity
+    has a Cholesky factorization.  The eigenvalues are computed only
+    when the factorization fails, to report the most negative one.
+    """
     rho = np.asarray(rho)
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > _HERMITICITY_TOL:
@@ -255,10 +377,15 @@ def validate_density(rho):
     tr = np.trace(rho).real
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} deviates from 1")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < _EIGENVALUE_TOL:
-        raise ValueError(
-            f"density matrix has negative eigenvalue {eigs.min():.3e}")
+    shifted = 0.5 * (rho + rho.conj().T)
+    shifted.flat[::len(rho) + 1] -= _EIGENVALUE_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(shifted).min() + _EIGENVALUE_TOL
+        if lowest < _EIGENVALUE_TOL:
+            raise ValueError(
+                f"density matrix has negative eigenvalue {lowest:.3e}") from None
     return rho
 
 
@@ -279,21 +406,12 @@ def number_distribution(rho):
     return probs
 
 
-def apply_unitary(u, rho):
-    """Conjugate a density matrix, ``u rho u^dag``, with contract checks.
-
-    The result is re-Hermitized to suppress accumulated round-off and its
-    trace is verified.  A result carrying more than ``TAIL_TOL``
-    population in the guard band raises :class:`TruncationError` instead
-    of being returned.
-    """
-    u = np.asarray(u, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if u.shape != rho.shape or u.shape[0] != u.shape[1]:
-        raise ValueError(f"dimension mismatch: U {u.shape} vs rho {rho.shape}")
-    validate_unitary(u)
+def _checked_step(rho, out):
+    """The checks after every state update ``rho -> out``: re-Hermitize
+    to suppress accumulated round-off, verify the trace is kept, and
+    raise :class:`TruncationError` rather than return a state carrying
+    more than ``TAIL_TOL`` population in the guard band."""
     trace_before = np.trace(rho).real
-    out = u @ rho @ u.conj().T
     out = 0.5 * (out + out.conj().T)
     trace_after = np.trace(out).real
     if abs(trace_after - trace_before) > _TRACE_TOL:
@@ -306,6 +424,57 @@ def apply_unitary(u, rho):
             f"{GUARD_BAND} levels (tail-mass guard)",
             min_dim=_advise_dim_from_tail(out))
     return out
+
+
+def conjugate(u, rho):
+    """``u rho u^dag`` for an operator ``u`` already checked by
+    :func:`validate_unitary`, followed by the per-step checks (see
+    :func:`apply_unitary`)."""
+    u = np.asarray(u, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    if u.shape != rho.shape or u.shape[0] != u.shape[1]:
+        raise ValueError(f"dimension mismatch: U {u.shape} vs rho {rho.shape}")
+    return _checked_step(rho, u @ rho @ u.conj().T)
+
+
+def apply_unitary(u, rho):
+    """Conjugate a density matrix, ``u rho u^dag``, with contract checks.
+
+    ``u`` is checked by :func:`validate_unitary`.  The result is
+    re-Hermitized to suppress accumulated round-off and its trace is
+    verified.  A result carrying more than ``TAIL_TOL`` population in the
+    guard band raises :class:`TruncationError` instead of being returned.
+    """
+    validate_unitary(u)
+    return conjugate(u, rho)
+
+
+def apply_squeeze(r, rho):
+    """``S(r) rho S(r)^dag`` (squeeze angle 0), computed in the cached
+    :func:`squeeze_basis` without forming ``S``; raises like
+    :func:`squeeze_operator_exact` and :func:`apply_unitary`."""
+    rho = np.asarray(rho, dtype=complex)
+    return _checked_step(rho, _conjugate_blocks(
+        _squeeze_blocks(r, 0.0, len(rho)), rho))
+
+
+def apply_displacement(alpha, rho):
+    """``D(alpha) rho D(alpha)^dag``, computed in the cached
+    :func:`displacement_basis` without forming ``D``; raises like
+    :func:`displacement_operator_exact` and :func:`apply_unitary`."""
+    rho = np.asarray(rho, dtype=complex)
+    return _checked_step(rho, _conjugate_blocks(
+        _displacement_blocks(alpha, len(rho)), rho))
+
+
+def apply_free_evolution(omega, tau, rho):
+    """Free oscillation of a density matrix: ``rho[j, k]`` times
+    ``exp(-i (j - k) omega tau)``, the action of
+    :func:`free_evolution_operator` without forming it; checked like
+    :func:`apply_unitary`."""
+    rho = np.asarray(rho, dtype=complex)
+    q = _free_evolution_phases(omega, tau, len(rho))
+    return _checked_step(rho, rho * (q[:, None] * q.conj()))
 
 
 def _advise_dim_from_tail(rho):

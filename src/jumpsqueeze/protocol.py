@@ -217,14 +217,13 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
     for i, step, omega, shift in _walk(protocol):
         try:
             if isinstance(step, FrequencyJump):
-                r_jump = 0.5 * math.log(omega / step.omega_new)
-                op = fock.squeeze_operator_exact(r_jump, 0.0, dim)
+                rho = fock.apply_squeeze(
+                    0.5 * math.log(omega / step.omega_new), rho)
             elif isinstance(step, Wait):
-                op = fock.free_evolution_operator(omega, step.tau, dim)
+                rho = fock.apply_free_evolution(omega, step.tau, rho)
             else:
-                op = fock.displacement_operator_exact(
-                    shift / metres_per_alpha(params, omega), dim)
-            rho = fock.apply_unitary(op, rho)
+                rho = fock.apply_displacement(
+                    shift / metres_per_alpha(params, omega), rho)
         except TruncationError as exc:
             raise TruncationError(
                 f"step {i} ({type(step).__name__}): {exc.base_message}",

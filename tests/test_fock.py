@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,143 @@ class TestApplyUnitary:
         with pytest.raises(TruncationError) as err:
             fock.apply_unitary(s, rho)
         assert "tail-mass guard" in str(err.value)
+
+    def test_structured_step_has_the_same_tail_guard(self):
+        rho = fock.thermal_density_matrix(1.5, 64)
+        with pytest.raises(TruncationError) as dense:
+            fock.apply_unitary(fock.squeeze_operator_exact(1.0, 0.0, 64), rho)
+        with pytest.raises(TruncationError) as structured:
+            fock.apply_squeeze(1.0, rho)
+        assert str(structured.value) == str(dense.value)
+        assert structured.value.min_dim == dense.value.min_dim > 64
+
+
+def _coherent_mixture(dim):
+    """A thermal state displaced off the real axis: coherences between
+    all levels, in both parity sectors."""
+    return fock.apply_unitary(fock.displacement_operator_exact(0.5 + 0.2j, dim),
+                              fock.thermal_density_matrix(0.3, dim))
+
+
+class TestCachedBases:
+    """The operators built from the cached real eigenbases against the
+    exponential of the dense complex generator, and the structured state
+    updates against the dense operators."""
+
+    DIMS = [64, 160, 256, 512]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("r, theta", [(0.3, 0.0), (-0.4, 0.3),
+                                          (0.9, -1.2), (-1.0, 2.5)])
+    def test_squeeze_matches_matrix_exponential(self, dim, r, theta):
+        a, adag = fock.ladder_operators(dim)
+        xi = r * np.exp(2j * theta)
+        reference = fock.matrix_exponential(
+            0.5 * (np.conj(xi) * (a @ a) - xi * (adag @ adag)))
+        got = fock.squeeze_operator_exact(r, theta, dim)
+        assert np.max(np.abs(got - reference)) < 1e-12
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("alpha", [0.7 * np.exp(0.4j), -1.3, 2.5j,
+                                       -1.1 - 2.0j])
+    def test_displacement_matches_matrix_exponential(self, dim, alpha):
+        a, adag = fock.ladder_operators(dim)
+        reference = fock.matrix_exponential(alpha * adag - np.conj(alpha) * a)
+        got = fock.displacement_operator_exact(alpha, dim)
+        assert np.max(np.abs(got - reference)) < 1e-12
+
+    # odd dimensions give parity blocks of unequal size
+    @pytest.mark.parametrize("dim", [64, 161, 512])
+    def test_structured_steps_match_dense(self, dim):
+        rho = _coherent_mixture(dim)
+        for r in (0.45, -0.6):
+            dense = fock.apply_unitary(fock.squeeze_operator_exact(r, 0.0, dim),
+                                       rho)
+            assert np.max(np.abs(fock.apply_squeeze(r, rho) - dense)) < 1e-12
+        for alpha in (1.2, -0.6, 0.3 - 0.9j):
+            dense = fock.apply_unitary(
+                fock.displacement_operator_exact(alpha, dim), rho)
+            assert np.max(np.abs(fock.apply_displacement(alpha, rho)
+                                 - dense)) < 1e-12
+        omega, tau = 2 * math.pi * 93e3, 3.7e-6
+        dense = fock.apply_unitary(
+            fock.free_evolution_operator(omega, tau, dim), rho)
+        assert np.max(np.abs(fock.apply_free_evolution(omega, tau, rho)
+                             - dense)) < 1e-12
+
+    @pytest.mark.parametrize("amplitude, dim", [
+        (3.5, 64), (-3.01, 1024), (float("nan"), 64), (float("inf"), 64),
+        (1.6, 16), (-1.6, 64)])
+    def test_squeeze_paths_raise_alike(self, amplitude, dim):
+        with pytest.raises((ValueError, TruncationError)) as dense:
+            fock.squeeze_operator_exact(amplitude, 0.0, dim)
+        with pytest.raises(dense.type) as structured:
+            fock.apply_squeeze(amplitude, fock.thermal_density_matrix(0.0, dim))
+        assert str(structured.value) == str(dense.value)
+        assert getattr(structured.value, "min_dim", None) == getattr(
+            dense.value, "min_dim", None)
+
+    @pytest.mark.parametrize("alpha, dim", [
+        (6.5, 64), (4.0 + 5.0j, 64), (complex(float("inf"), 0.0), 64),
+        (complex(0.0, float("nan")), 64), (4.0, 16), (-2.5j, 24)])
+    def test_displacement_paths_raise_alike(self, alpha, dim):
+        with pytest.raises((ValueError, TruncationError)) as dense:
+            fock.displacement_operator_exact(alpha, dim)
+        with pytest.raises(dense.type) as structured:
+            fock.apply_displacement(alpha,
+                                    fock.thermal_density_matrix(0.0, dim))
+        assert str(structured.value) == str(dense.value)
+        assert getattr(structured.value, "min_dim", None) == getattr(
+            dense.value, "min_dim", None)
+
+    def test_out_of_range_amplitude_fails_fast(self):
+        # the amplitude bound is checked before the dimension search, which
+        # would otherwise take minutes for an amplitude this large
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds supported amplitude"):
+            fock.apply_squeeze(7.2, fock.thermal_density_matrix(0.0, 64))
+        assert time.perf_counter() - started < 1.0
+
+    def test_caches_are_bounded_and_read_only(self):
+        for basis_fn in (fock.squeeze_basis, fock.displacement_basis):
+            maxsize = basis_fn.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < 64
+            for _, lam, vt in basis_fn(32):
+                assert not lam.flags.writeable
+                assert not vt.flags.writeable
+
+    def test_bases_are_orthogonal(self):
+        for basis_fn in (fock.squeeze_basis, fock.displacement_basis):
+            for _, _, vt in basis_fn(96):
+                eye = np.eye(len(vt))
+                assert np.max(np.abs(vt @ vt.T - eye)) < 1e-12
+
+
+class TestValidateDensity:
+    @staticmethod
+    def _with_lowest_eigenvalue(lowest, dim=32, seed=3):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+        eigs = np.linspace(1.0, 2.0, dim)
+        eigs *= (1.0 - lowest) / eigs[1:].sum()
+        eigs[0] = lowest
+        rho = (q * eigs) @ q.conj().T
+        return 0.5 * (rho + rho.conj().T)
+
+    @pytest.mark.parametrize("lowest", [-1e-11, 0.0])
+    def test_accepts_tiny_or_zero_eigenvalue(self, lowest):
+        rho = self._with_lowest_eigenvalue(lowest)
+        assert fock.validate_density(rho) is rho
+
+    def test_rejects_negative_eigenvalue_and_reports_it(self):
+        rho = self._with_lowest_eigenvalue(-1e-9)
+        with pytest.raises(ValueError, match=r"negative eigenvalue -1\.000e-09"):
+            fock.validate_density(rho)
+
+    def test_accepts_squeezed_thermal_state_at_dim_512(self):
+        rho = fock.apply_squeeze(1.2, fock.thermal_density_matrix(0.5, 512))
+        assert fock.validate_density(rho) is rho
 
 
 class TestTailGuards:
