@@ -21,3 +21,7 @@ MAX_FOCK_DIM = 1024
 
 # Largest number of points a figure grid may ask for.
 MAX_GRID_POINTS = 100_000
+
+# Largest number of jumps of the multi-jump sweep: its row n runs an
+# n-jump protocol, so its work grows with the square of this limit.
+MAX_JUMP_COUNT = 500

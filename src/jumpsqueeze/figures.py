@@ -1,6 +1,10 @@
 """Theory-curve tables for every figure, computed row by row through the
 protocol and spectroscopy machinery and written as deterministic CSV.
 
+Each figure is one sweep, declared once in ``_FIGURES``: its sweep
+column, its grid, a row builder and its envelope rule.  ``generate`` is
+the one loop that fills a table from such an entry.
+
 Where the measurements show contrast decay, the fitted 1/e constants are
 applied as a multiplicative envelope about a baseline:
 ``R_env(t) = R_base + (R_raw - R_base) exp(-t / tau_env)``.  Oscillating
@@ -10,15 +14,15 @@ sweeps use the thermal baseline (their fully dephased limit).
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import fock
 from .bogoliubov import squeeze_params_from_pair
-from .constants import MAX_FOCK_DIM, MAX_GRID_POINTS, TWO_PI
+from .constants import MAX_FOCK_DIM, MAX_GRID_POINTS, MAX_JUMP_COUNT, TWO_PI
 from .errors import (ConfigError, atomic_write, check_integer, check_number,
                      check_object)
 from .lattice import TrapParams, coherent_alpha_from_shift, ground_state_widths
@@ -30,9 +34,6 @@ from .protocol import (FrequencyJump, Protocol, ShiftOrigin, UnshiftOrigin,
 from .spectroscopy import (DecoherenceParams, RabiParams,
                            amplified_distribution_decohered,
                            sideband_populations, weighted_distribution)
-
-FIGURE_IDS = ("fig2a", "fig2a_inset", "fig2b", "fig2c", "fig2d",
-              "fig3b", "fig3c", "fig4a", "fig4c")
 
 # Calibration that maps a 133 nm trap shift to alpha = 3 for the default
 # trap; first-principles conversion gives alpha = 2.63 at calibration 1.
@@ -65,7 +66,7 @@ DEFAULT_CONSTANTS = {
 # a periods * points_per_period grid is bounded in check_overrides.
 CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
-    "n_jumps_max": (check_integer, 1, MAX_GRID_POINTS),
+    "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
     "fock_dim": (check_integer, 2, MAX_FOCK_DIM),
     "nbar0": (check_number, 0), "periods": (check_number, 0, True),
     "points_per_period": (check_number, 0, True),
@@ -137,39 +138,10 @@ def build_spec(figure_id, trap, rabi, overrides=None):
     applying user overrides."""
     overrides = check_overrides(figure_id, overrides or {})
     constants = {**DEFAULT_CONSTANTS[figure_id], **overrides}
-
-    if figure_id == "fig2a":
-        sweep = np.linspace(0.0, constants["two_r_max"], constants["points"])
-    elif figure_id == "fig2a_inset":
-        sweep = np.arange(1, constants["n_jumps_max"] + 1, dtype=float)
-    elif figure_id == "fig2b":
-        sweep = np.linspace(0.0, constants["r_max"], constants["points"])
-    elif figure_id == "fig2c":
-        period = math.pi / trap.omega2
-        n = int(constants["periods"] * constants["points_per_period"])
-        sweep = np.arange(n + 1) * (period / constants["points_per_period"])
-    elif figure_id in ("fig3c", "fig4a"):
-        period = TWO_PI / trap.omega1
-        n = int(constants["periods"] * constants["points_per_period"])
-        sweep = np.arange(n + 1) * (period / constants["points_per_period"])
-    elif figure_id == "fig2d":
-        sweep = np.linspace(-constants["v_max_m_s"], constants["v_max_m_s"],
-                            constants["points"])
-    elif figure_id == "fig3b":
-        sweep = np.linspace(0.0, constants["d_max_m"], constants["points"])
-    else:  # fig4c
-        sweep = np.linspace(0.0, constants["two_r_max"], constants["points"])
-    return FigureSpec(figure_id, sweep, _with_calibration(trap, constants),
-                      rabi, constants)
-
-
-def _with_calibration(trap, constants):
-    """Trap with the figure's calibration factor applied, if any."""
-    cal = constants.get("calibration")
-    if cal is None or cal == trap.calibration:
-        return trap
-    return TrapParams(trap.omega1, trap.omega2, trap.mass,
-                      trap.lattice_wavenumber, trap.V0, calibration=cal)
+    calibrated = replace(trap, calibration=constants.get("calibration",
+                                                         trap.calibration))
+    return FigureSpec(figure_id, _FIGURES[figure_id].grid(constants, trap),
+                      calibrated, rabi, constants)
 
 
 def _squeezed_thermal_R(r_eff, nbar0, rabi):
@@ -183,104 +155,80 @@ def _displaced_thermal(alpha, nbar0, rabi):
                                  rabi.n_max)
 
 
-def _enveloped(spec, raw, times, rule, tau_key="envelope_tau_s"):
-    """Apply the decay envelope about the ``rule`` baseline: "thermal"
-    (the unsqueezed thermal R) or "time-average" (the mean of ``raw``).
-    Returns the enveloped column and its metadata."""
-    if rule == "thermal":
-        baseline = _squeezed_thermal_R(0.0, spec.constants["nbar0"], spec.rabi)
-    else:
-        baseline = float(raw.mean())
-    env = baseline + (raw - baseline) * np.exp(
-        -times / spec.constants[tau_key])
-    return env, {"envelope_baseline_R": baseline, "baseline_rule": rule}
+def _squeezed(spec, protocol):
+    """r_eff, R of the squeezed thermal input and elapsed time of
+    ``protocol`` on the symplectic backend."""
+    res = run_symplectic(protocol, spec.trap)
+    r = squeeze_params_from_pair(res.pair).r
+    return (r, _squeezed_thermal_R(r, spec.constants["nbar0"], spec.rabi),
+            res.elapsed)
 
 
-def _squeeze_sweep(spec, protocol_at):
-    """Run ``protocol_at(x)`` on the symplectic backend for every sweep
-    value x; returns the columns r_eff, R (thermal input) and elapsed."""
-    nbar0, rabi = spec.constants["nbar0"], spec.rabi
-    r_eff, r_raw, elapsed = [], [], []
-    for x in spec.sweep:
-        res = run_symplectic(protocol_at(x), spec.trap)
-        r = squeeze_params_from_pair(res.pair).r
-        r_eff.append(r)
-        r_raw.append(_squeezed_thermal_R(r, nbar0, rabi))
-        elapsed.append(res.elapsed)
-    return np.array(r_eff), np.array(r_raw), np.array(elapsed)
+# Row builders: each takes the spec and returns ``row(x) -> {column:
+# value}`` for one sweep value x, plus the figure's fixed metadata.  Work
+# shared by every row is done once, before ``row`` is returned.
 
-
-def _gen_fig2a(spec):
+def _fig2a(spec):
     trap, nbar0 = spec.trap, spec.constants["nbar0"]
 
-    def protocol_at(two_r):
-        if two_r > 0:
-            return builtin_protocol("S_minus_2r", trap, r=two_r / 2.0)
-        return Protocol(trap.omega1, ())
-
-    r_eff, r_raw, elapsed = _squeeze_sweep(spec, protocol_at)
-    env, meta = _enveloped(spec, r_raw, elapsed, "thermal")
-    moments = [squeezed_thermal_moments(nbar0, r) for r in r_eff]
-    cols = {"two_r": spec.sweep, "R": r_raw, "R_enveloped": env,
-            "nbar_st": np.array([m.nbar_st for m in moments]),
-            "dnbar_st": np.array([m.dnbar_st for m in moments]),
-            "elapsed_s": elapsed}
-    return cols, meta
+    def row(two_r):
+        r, R, elapsed = _squeezed(spec, builtin_protocol(
+            "S_minus_2r", trap, r=two_r / 2.0) if two_r > 0
+            else Protocol(trap.omega1, ()))
+        moments = squeezed_thermal_moments(nbar0, r)
+        return {"R": R, "nbar_st": moments.nbar_st,
+                "dnbar_st": moments.dnbar_st, "elapsed_s": elapsed}
+    return row, {}
 
 
-def _gen_fig2a_inset(spec):
-    trap, r_jump = spec.trap, spec.constants["r_per_jump"]
-    r_eff, r_raw, elapsed = _squeeze_sweep(
-        spec, lambda n: builtin_protocol("multi_jump", trap, n_jumps=int(n),
-                                         r=r_jump))
-    env, meta = _enveloped(spec, r_raw, elapsed, "thermal")
-    cols = {"n_jumps": spec.sweep, "r_total": r_eff, "R": r_raw,
-            "R_enveloped": env, "elapsed_s": elapsed}
-    return cols, meta
+def _fig2a_inset(spec):
+    def row(n):
+        r, R, elapsed = _squeezed(spec, builtin_protocol(
+            "multi_jump", spec.trap, n_jumps=int(n),
+            r=spec.constants["r_per_jump"]))
+        return {"r_total": r, "R": R, "elapsed_s": elapsed}
+    return row, {}
 
 
-def _gen_fig2b(spec):
+def _fig2b(spec):
     omega1 = spec.trap.omega1
-    r_eff, r_raw, _ = _squeeze_sweep(spec, lambda r: Protocol(
-        omega1, (FrequencyJump(omega1 * math.exp(-2 * r)),
-                 FrequencyJump(omega1)) if r > 0 else ()))
-    cols = {"r": spec.sweep, "r_eff": r_eff, "R": r_raw}
-    return cols, {"baseline_rule": "none"}
+
+    def row(r):
+        r_eff, R, _ = _squeezed(spec, Protocol(
+            omega1, (FrequencyJump(omega1 * math.exp(-2 * r)),
+                     FrequencyJump(omega1)) if r > 0 else ()))
+        return {"r_eff": r_eff, "R": R}
+    return row, {"baseline_rule": "none"}
 
 
-def _gen_fig2c(spec):
+def _fig2c(spec):
     trap = spec.trap
-    r_eff, r_raw, elapsed = _squeeze_sweep(spec, lambda tau: Protocol(
-        trap.omega1, (FrequencyJump(trap.omega2), Wait(tau),
-                      FrequencyJump(trap.omega1))))
-    env, env_meta = _enveloped(spec, r_raw, elapsed, "time-average")
-    cols = {"tau_s": spec.sweep, "r_eff": r_eff, "R": r_raw,
-            "R_enveloped": env}
-    meta = {"two_r": math.log(trap.omega1 / trap.omega2),
-            "oscillation_period_s": math.pi / trap.omega2, **env_meta}
-    return cols, meta
+
+    def row(tau):
+        r_eff, R, _ = _squeezed(spec, Protocol(
+            trap.omega1, (FrequencyJump(trap.omega2), Wait(tau),
+                          FrequencyJump(trap.omega1))))
+        return {"r_eff": r_eff, "R": R}
+    return row, {"two_r": math.log(trap.omega1 / trap.omega2),
+                 "oscillation_period_s": math.pi / trap.omega2}
 
 
-def _gen_fig2d(spec):
-    trap, c = spec.trap, spec.constants
-    nbar0 = c["nbar0"]
-    r_total = math.log(c["squeeze_factor"])
-    x0, sigma_v, width_ground = ground_state_widths(trap)
-    _, _, width_thermal = ground_state_widths(trap, nbar0=nbar0)
-    v = spec.sweep
-
-    def profile(sigma):
-        return np.exp(-v ** 2 / (2.0 * sigma ** 2))
-
-    cols = {
-        "velocity_m_s": v,
-        "density_ground": profile(sigma_v),
-        "density_squeezed_momentum": profile(sigma_v * math.exp(-r_total)),
-        "density_squeezed_position": profile(sigma_v * math.exp(r_total)),
-        "density_ground_thermal": profile(
-            sigma_v * math.sqrt(2 * nbar0 + 1)),
+def _fig2d(spec):
+    nbar0 = spec.constants["nbar0"]
+    r_total = math.log(spec.constants["squeeze_factor"])
+    x0, sigma_v, width_ground = ground_state_widths(spec.trap)
+    _, _, width_thermal = ground_state_widths(spec.trap, nbar0=nbar0)
+    widths = {
+        "density_ground": sigma_v,
+        "density_squeezed_momentum": sigma_v * math.exp(-r_total),
+        "density_squeezed_position": sigma_v * math.exp(r_total),
+        "density_ground_thermal": sigma_v * math.sqrt(2 * nbar0 + 1),
     }
-    meta = {
+
+    def row(v):
+        return {name: np.exp(-(v * v) / (2.0 * sigma ** 2))
+                for name, sigma in widths.items()}
+    return row, {
         "x0_m": x0,
         "sigma_v_m_s": sigma_v,
         "width_1e2_ground_m_s": width_ground,
@@ -291,110 +239,140 @@ def _gen_fig2d(spec):
         "measured_ratio_momentum_squeezed": 1 / 2.43,
         "measured_ratio_position_squeezed": 2.18,
     }
-    return cols, meta
 
 
-def _gen_fig3b(spec):
-    trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0 = c["nbar0"]
-    alphas, r_thermal, r_coherent = [], [], []
-    for d in spec.sweep:
+def _fig3b(spec):
+    trap, rabi, nbar0 = spec.trap, spec.rabi, spec.constants["nbar0"]
+
+    def row(d):
         alpha = coherent_alpha_from_shift(d, trap)
-        alphas.append(alpha)
-        r_thermal.append(sideband_populations(
-            _displaced_thermal(alpha, nbar0, rabi), rabi).R)
-        r_coherent.append(sideband_populations(
-            _displaced_thermal(alpha, 0.0, rabi), rabi).R)
-    cols = {"d_m": spec.sweep, "alpha": np.array(alphas),
-            "R_displaced_thermal": np.array(r_thermal),
-            "R_pure_coherent": np.array(r_coherent)}
-    meta = {"calibration": trap.calibration, "x0_m": trap.x0}
-    return cols, meta
+        return {"alpha": alpha,
+                "R_displaced_thermal": sideband_populations(
+                    _displaced_thermal(alpha, nbar0, rabi), rabi).R,
+                "R_pure_coherent": sideband_populations(
+                    _displaced_thermal(alpha, 0.0, rabi), rabi).R}
+    return row, {"calibration": trap.calibration, "x0_m": trap.x0}
 
 
-def _gen_fig3c(spec):
+def _fig3c(spec):
     trap, rabi, c = spec.trap, spec.rabi, spec.constants
     nbar0, d = c["nbar0"], c["d_m"]
-    alpha_abs, r_raw = [], []
-    for tau in spec.sweep:
+
+    def row(tau):
         steps = (ShiftOrigin(d), Wait(tau), UnshiftOrigin())
-        res = run_symplectic(Protocol(trap.omega1, steps), trap)
-        alpha_abs.append(abs(res.displacement))
-        r_raw.append(sideband_populations(_displaced_thermal(
-            abs(res.displacement), nbar0, rabi), rabi).R)
-    r_raw = np.array(r_raw)
-    env, env_meta = _enveloped(spec, r_raw, spec.sweep, "time-average")
-    cols = {"tau_s": spec.sweep, "alpha_abs": np.array(alpha_abs),
-            "R": r_raw, "R_enveloped": env}
-    meta = {"alpha_i": coherent_alpha_from_shift(d, trap),
-            "oscillation_period_s": TWO_PI / trap.omega1, **env_meta}
-    return cols, meta
+        alpha = abs(run_symplectic(Protocol(trap.omega1, steps),
+                                   trap).displacement)
+        return {"alpha_abs": alpha, "R": sideband_populations(
+            _displaced_thermal(alpha, nbar0, rabi), rabi).R}
+    return row, {"alpha_i": coherent_alpha_from_shift(d, trap),
+                 "oscillation_period_s": TWO_PI / trap.omega1}
 
 
-def _gen_fig4a(spec):
+def _fig4a(spec):
     trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0, alpha_i, two_r = c["nbar0"], c["alpha_i"], c["two_r"]
-    dim = c["fock_dim"]
+    alpha_i, dim = c["alpha_i"], c["fock_dim"]
     proto = builtin_protocol("displaced_squeeze", trap,
-                             alpha_i=alpha_i, r=two_r / 2.0)
-    initial = fock.thermal_density_matrix(nbar0, dim)
+                             alpha_i=alpha_i, r=c["two_r"] / 2.0)
+    initial = fock.thermal_density_matrix(c["nbar0"], dim)
     prepared = run_fock(proto, trap, initial=initial, dim=dim).final_rho
     undo = fock.displacement_operator_exact(-alpha_i, dim)
     fock.validate_unitary(undo)
-    r_raw = []
-    for tau in spec.sweep:
+
+    def row(tau):
         rho = fock.conjugate(
             undo, fock.apply_free_evolution(trap.omega1, tau, prepared))
-        dist = fock.number_distribution(rho)
-        r_raw.append(sideband_populations(dist, rabi).R)
-    r_raw = np.array(r_raw)
-    env, env_meta = _enveloped(spec, r_raw, spec.sweep, "time-average",
-                               "decay_time_s")
-    cols = {"tau_s": spec.sweep, "R": r_raw, "R_enveloped": env}
-    meta = {"oscillation_period_s": TWO_PI / trap.omega1,
-            "fock_dim": dim, **env_meta}
-    return cols, meta
+        return {"R": sideband_populations(fock.number_distribution(rho),
+                                          rabi).R}
+    return row, {"oscillation_period_s": TWO_PI / trap.omega1,
+                 "fock_dim": dim}
 
 
-def _gen_fig4c(spec):
+def _fig4c(spec):
     trap, rabi, c = spec.trap, spec.rabi, spec.constants
     nbar0, alpha_i, gamma_dec = c["nbar0"], c["alpha_i"], c["decay_time_s"]
-    alpha_f_abs, t_primes, r_dec, r_raw = [], [], [], []
-    for two_r in spec.sweep:
+
+    def row(two_r):
         alpha_f = amplified_alpha(alpha_i, two_r / 2.0)
         omega2 = trap.omega1 * math.exp(-two_r)
         t_prime = math.pi / trap.omega1 + math.pi / omega2
-        dec = DecoherenceParams(gamma_dec, t_prime)
         displaced = _displaced_thermal(alpha_f, nbar0, rabi)
-        r_dec.append(sideband_populations(amplified_distribution_decohered(
-            displaced, alpha_f, nbar0, dec), rabi).R)
-        r_raw.append(sideband_populations(displaced, rabi).R)
-        alpha_f_abs.append(abs(alpha_f))
-        t_primes.append(t_prime)
-    cols = {"two_r": spec.sweep, "alpha_f_abs": np.array(alpha_f_abs),
-            "t_prime_s": np.array(t_primes),
-            "R_with_decoherence": np.array(r_dec),
-            "R_no_decoherence": np.array(r_raw)}
-    meta = {"alpha_i": alpha_i, "decay_time_s": gamma_dec}
-    return cols, meta
+        decohered = amplified_distribution_decohered(
+            displaced, alpha_f, nbar0, DecoherenceParams(gamma_dec, t_prime))
+        return {"alpha_f_abs": abs(alpha_f), "t_prime_s": t_prime,
+                "R_with_decoherence": sideband_populations(decohered, rabi).R,
+                "R_no_decoherence": sideband_populations(displaced, rabi).R}
+    return row, {"alpha_i": alpha_i, "decay_time_s": gamma_dec}
 
 
-_GENERATORS = {
-    "fig2a": _gen_fig2a,
-    "fig2a_inset": _gen_fig2a_inset,
-    "fig2b": _gen_fig2b,
-    "fig2c": _gen_fig2c,
-    "fig2d": _gen_fig2d,
-    "fig3b": _gen_fig3b,
-    "fig3c": _gen_fig3c,
-    "fig4a": _gen_fig4a,
-    "fig4c": _gen_fig4c,
+def _span(key, symmetric=False):
+    """Grid of ``points`` values evenly spaced from 0 (or from -key) to
+    the constant ``key``."""
+    return lambda c, trap: np.linspace(-c[key] if symmetric else 0.0,
+                                       c[key], c["points"])
+
+
+def _periods(period):
+    """Grid of ``periods`` times ``period(trap)``, ``points_per_period``
+    rows per period, starting at 0."""
+    def grid(c, trap):
+        n = int(c["periods"] * c["points_per_period"])
+        return np.arange(n + 1) * (period(trap) / c["points_per_period"])
+    return grid
+
+
+class _Figure(NamedTuple):
+    """One figure: sweep column name, ``grid(constants, trap)``, row
+    builder, and envelope (baseline rule, time column, decay key)."""
+    sweep_column: str
+    grid: Callable
+    build_rows: Callable
+    envelope: Optional[Tuple[str, str, str]] = None
+
+
+_FIGURES = {
+    "fig2a": _Figure("two_r", _span("two_r_max"), _fig2a,
+                     ("thermal", "elapsed_s", "envelope_tau_s")),
+    "fig2a_inset": _Figure(
+        "n_jumps", lambda c, trap: np.arange(1.0, c["n_jumps_max"] + 1),
+        _fig2a_inset, ("thermal", "elapsed_s", "envelope_tau_s")),
+    "fig2b": _Figure("r", _span("r_max"), _fig2b),
+    "fig2c": _Figure("tau_s", _periods(lambda trap: math.pi / trap.omega2),
+                     _fig2c, ("time-average", "tau_s", "envelope_tau_s")),
+    "fig2d": _Figure("velocity_m_s", _span("v_max_m_s", symmetric=True),
+                     _fig2d),
+    "fig3b": _Figure("d_m", _span("d_max_m"), _fig3b),
+    "fig3c": _Figure("tau_s", _periods(lambda trap: TWO_PI / trap.omega1),
+                     _fig3c, ("time-average", "tau_s", "envelope_tau_s")),
+    "fig4a": _Figure("tau_s", _periods(lambda trap: TWO_PI / trap.omega1),
+                     _fig4a, ("time-average", "tau_s", "decay_time_s")),
+    "fig4c": _Figure("two_r", _span("two_r_max"), _fig4c),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def generate(spec):
-    """Compute the deterministic curve table for one figure."""
-    cols, meta = _GENERATORS[spec.figure_id](spec)
+    """Compute the deterministic curve table for one figure: the sweep
+    column, one column per row key in row order, and ``R_enveloped``
+    straight after ``R`` if the figure has an envelope."""
+    figure = _FIGURES[spec.figure_id]
+    row, meta = figure.build_rows(spec)
+    rows = [row(x) for x in spec.sweep]
+    cols = {figure.sweep_column: spec.sweep,
+            **{key: np.array([r[key] for r in rows]) for key in rows[0]}}
+    if figure.envelope:
+        rule, time_column, tau_key = figure.envelope
+        raw = cols["R"]
+        baseline = (float(raw.mean()) if rule == "time-average" else
+                    _squeezed_thermal_R(0.0, spec.constants["nbar0"],
+                                        spec.rabi))
+        enveloped = baseline + (raw - baseline) * np.exp(
+            -cols[time_column] / spec.constants[tau_key])
+        names = list(cols)
+        names.insert(names.index("R") + 1, "R_enveloped")
+        cols["R_enveloped"] = enveloped
+        cols = {name: cols[name] for name in names}
+        meta = {**meta, "envelope_baseline_R": baseline,
+                "baseline_rule": rule}
     trap, rabi = spec.trap, spec.rabi
     metadata = {
         "figure_id": spec.figure_id,

@@ -106,38 +106,46 @@ def squeezed_vacuum_populations(r, dim):
     return p
 
 
+def _squeeze_tail(r, dim):
+    """Larger of the guard-band and beyond-``dim`` mass of S(r)|0>."""
+    p = squeezed_vacuum_populations(r, dim + GUARD_BAND)
+    return max(p[dim - GUARD_BAND:dim].sum(), p[dim:].sum())
+
+
+def _coherent_tail(mean, dim):
+    """Guard-band plus beyond-``dim`` mass of a coherent state."""
+    p = np.zeros(dim)
+    p[0] = math.exp(-mean)
+    for k in range(1, dim):
+        p[k] = p[k - 1] * mean / k
+    return p[dim - GUARD_BAND:].sum() + max(0.0, 1.0 - p.sum())
+
+
+@functools.lru_cache(maxsize=1024)
+def _min_tail_dim(tail, size):
+    """Smallest dimension 16, 32, ... below 65536 whose ``tail(size,
+    dim)`` is below ``TAIL_TOL``; 2 for a zero ``size`` (|r|, or the
+    mean number |alpha|^2).  Memoized, since a protocol or figure sweep
+    asks again for every jump or shift of the same magnitude."""
+    if size == 0:
+        return 2
+    for dim in range(16, 65536, 16):
+        if tail(size, dim) < TAIL_TOL:
+            return dim
+    raise TruncationError(f"no dimension below 65536 has "
+                          f"{tail.__name__}({size}, dim) < {TAIL_TOL}")
+
+
 def min_squeeze_dim(r):
     """Smallest dimension whose top guard band holds less than
     ``TAIL_TOL`` of the squeezed vacuum S(r)|0>."""
-    r = abs(r)
-    if r == 0:
-        return 2
-    dim = 16
-    while dim < 65536:
-        p = squeezed_vacuum_populations(r, dim + GUARD_BAND)
-        if max(p[dim - GUARD_BAND:dim].sum(), p[dim:].sum()) < TAIL_TOL:
-            return dim
-        dim += 16
-    raise TruncationError(f"no practical dimension holds squeeze r={r}")
+    return _min_tail_dim(_squeeze_tail, abs(r))
 
 
 def min_displacement_dim(alpha):
     """Smallest dimension whose top guard band holds less than
     ``TAIL_TOL`` of the coherent state D(alpha)|0>."""
-    mean = abs(alpha) ** 2
-    if mean == 0:
-        return 2
-    dim = 16
-    while dim < 65536:
-        # Poisson populations via stable recursion
-        p = np.zeros(dim)
-        p[0] = math.exp(-mean)
-        for k in range(1, dim):
-            p[k] = p[k - 1] * mean / k
-        if p[dim - GUARD_BAND:].sum() + max(0.0, 1.0 - p.sum()) < TAIL_TOL:
-            return dim
-        dim += 16
-    raise TruncationError(f"no practical dimension holds displacement {alpha}")
+    return _min_tail_dim(_coherent_tail, abs(alpha) ** 2)
 
 
 def _eigenbasis(levels, off_diagonal):

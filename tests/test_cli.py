@@ -10,12 +10,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import jumpsqueeze
 from jumpsqueeze.cli import main
 from jumpsqueeze.config import default_config_dict
+from jumpsqueeze.constants import MAX_FOCK_DIM, MAX_JUMP_COUNT
 from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -41,6 +42,31 @@ EXTREMES = st.sampled_from([0, -1.0, 0.5, 1e-300, 1e300, 1.7e308, 10 ** 400])
 VALUES = (NOT_INTEGERS | EXTREMES | st.floats(min_value=1e-300, max_value=1e308)
           | st.integers(-10 ** 6, 10 ** 6)
           | st.lists(EXTREMES | st.floats(-4, 4), max_size=3))
+
+# Protocol documents with frequencies of 65 to 130 kHz (jump ratios of
+# 0.5 to 2) and shifts of at most 30 nm, so five steps stay within a few
+# hundred Fock levels; half of them may also hold malformed values.
+JSON_VALUES = st.none() | st.booleans() | st.text(max_size=3) | EXTREMES
+PROTOCOL_STEPS = (
+    st.builds(lambda hz: {"type": "frequency_jump", "omega_new_hz": hz},
+              st.floats(65e3, 130e3))
+    | st.builds(lambda tau: {"type": "wait", "tau_s": tau},
+                st.floats(0.0, 2e-5))
+    | st.builds(lambda d: {"type": "shift_origin", "d_m": d},
+                st.floats(-30e-9, 30e-9))
+    | st.just({"type": "unshift_origin"}))
+MALFORMED_STEPS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["frequency_jump", "wait", "shift_origin",
+                              "unshift_origin"]) | JSON_VALUES},
+    optional={"omega_new_hz": JSON_VALUES, "tau_s": JSON_VALUES,
+              "d_m": JSON_VALUES})
+PROTOCOL_DOCS = st.fixed_dictionaries(
+    {"omega_initial_hz": st.floats(70e3, 120e3),
+     "steps": st.lists(PROTOCOL_STEPS, max_size=5)},
+    optional={"schema_version": st.just(1)}) | st.fixed_dictionaries(
+    {"omega_initial_hz": st.floats(70e3, 120e3) | JSON_VALUES,
+     "steps": st.lists(PROTOCOL_STEPS | MALFORMED_STEPS, max_size=5)},
+    optional={"schema_version": st.just(1) | JSON_VALUES})
 
 
 def _paths(doc, prefix=()):
@@ -213,6 +239,7 @@ class TestConfigHandling:
         ("fig2d", "squeeze_factor", -2.58),
         ("fig2b", "points", 10 ** 12),
         ("fig2a_inset", "n_jumps_max", 10 ** 12),
+        ("fig2a_inset", "n_jumps_max", MAX_JUMP_COUNT + 1),
         ("fig2c", "periods", 1e12),
         ("fig4a", "points_per_period", 1e300),
     ])
@@ -395,6 +422,22 @@ class TestProtocolRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (key if where is None else f"steps[{where}]") in captured.err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(PROTOCOL_DOCS)
+    def test_any_protocol_document_exits_cleanly(self, tmp_path, capsys,
+                                                 doc):
+        # every example rewrites the same two files
+        cfg = write_json(tmp_path / "cfg.json", {"fock_dim": 64})
+        path = write_json(tmp_path / "proto.json", doc)
+        code = main(["--config", cfg, "protocol", "run", path])
+        out = capsys.readouterr().out
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        if code == 0:
+            summary = json.loads(out)
+            assert summary["fock_dim"] <= MAX_FOCK_DIM
 
     def test_envelope_violation_exits_3(self, tmp_path, capsys):
         # a squeeze amplitude beyond the supported range

@@ -6,8 +6,9 @@ import pytest
 
 from jumpsqueeze.constants import TWO_PI
 from jumpsqueeze.errors import ConfigError
-from jumpsqueeze.figures import (FIGURE_IDS, CurveTable, build_spec, emit_csv,
-                                 emit_plot_script, generate)
+from jumpsqueeze.figures import (DEFAULT_CONSTANTS, FIGURE_IDS, CurveTable,
+                                 build_spec, emit_csv, emit_plot_script,
+                                 generate)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,9 @@ class TestBuildSpec:
     def test_unknown_constant(self, config):
         with pytest.raises(ConfigError):
             build_spec("fig2a", config.trap, config.rabi, {"nonsense": 1.0})
+
+    def test_every_figure_has_default_constants(self):
+        assert tuple(DEFAULT_CONSTANTS) == FIGURE_IDS
 
     def test_override_applies(self, config):
         spec = build_spec("fig2a", config.trap, config.rabi, {"points": 11})

@@ -387,3 +387,55 @@ class TestTailGuards:
         ]
         for rho in cases:
             assert fock.guard_band_population(rho) < fock.TAIL_TOL
+
+
+def _reference_squeeze_dim(r):
+    """The tail-mass dimension search for S(r)|0>, written out step by
+    step as the reference for the memoized shared search."""
+    r = abs(r)
+    if r == 0:
+        return 2
+    dim = 16
+    while True:
+        p = fock.squeezed_vacuum_populations(r, dim + fock.GUARD_BAND)
+        if max(p[dim - fock.GUARD_BAND:dim].sum(),
+               p[dim:].sum()) < fock.TAIL_TOL:
+            return dim
+        dim += 16
+
+
+def _reference_displacement_dim(alpha):
+    mean = abs(alpha) ** 2
+    if mean == 0:
+        return 2
+    dim = 16
+    while True:
+        p = np.zeros(dim)
+        p[0] = math.exp(-mean)
+        for k in range(1, dim):
+            p[k] = p[k - 1] * mean / k
+        if (p[dim - fock.GUARD_BAND:].sum()
+                + max(0.0, 1.0 - p.sum()) < fock.TAIL_TOL):
+            return dim
+        dim += 16
+
+
+class TestMinimumDimensions:
+    def test_squeeze_dim_matches_reference(self):
+        for r in np.linspace(-3.0, 3.0, 241):
+            assert fock.min_squeeze_dim(r) == _reference_squeeze_dim(r), r
+
+    def test_displacement_dim_matches_reference(self):
+        for magnitude in np.linspace(0.0, 6.0, 241):
+            for alpha in (magnitude, -magnitude, magnitude * np.exp(0.7j)):
+                assert (fock.min_displacement_dim(alpha)
+                        == _reference_displacement_dim(alpha)), alpha
+
+    def test_repeat_is_memoized(self):
+        fock.min_squeeze_dim(1.2345)
+        fock.min_displacement_dim(2.345)
+        hits = fock._min_tail_dim.cache_info().hits
+        assert fock.min_squeeze_dim(-1.2345) == _reference_squeeze_dim(1.2345)
+        assert fock.min_displacement_dim(2.345j) == \
+            _reference_displacement_dim(2.345)
+        assert fock._min_tail_dim.cache_info().hits == hits + 2

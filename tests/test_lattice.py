@@ -78,8 +78,17 @@ class TestEnergyGap:
 
 class TestBoundStateCount:
     def test_published_depth(self, trap):
-        count = bound_state_count(trap)
-        assert 11 <= count <= 14
+        # the published 11 is the harmonic count: levels (n + 1/2) hbar
+        # omega_harm below V0, with V0 / hbar omega_harm = 11.46
+        hbar_omega = HBAR * harmonic_frequency(trap.depth_parameter,
+                                               trap.recoil_energy)
+        harmonic = sum(1 for n in range(100)
+                       if (n + 0.5) * hbar_omega < trap.V0)
+        assert harmonic == 11
+        # the expansion's level 13 sits at 513.9 E_R, below V0 = 525 E_R
+        assert bound_state_count(trap) == 14
+        # the diagonalized level 14 sits at 524.2 E_R
+        assert bound_level_count(trap.depth_parameter) == 15
 
     def test_within_one_of_diagonalization(self, trap):
         count = bound_state_count(trap)
