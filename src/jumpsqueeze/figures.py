@@ -22,7 +22,8 @@ import numpy as np
 
 from . import fock
 from .bogoliubov import squeeze_params_from_pair
-from .constants import MAX_FOCK_DIM, MAX_GRID_POINTS, MAX_JUMP_COUNT, TWO_PI
+from .constants import (MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_GRID_POINTS,
+                        MAX_JUMP_COUNT, MAX_SQUEEZE_AMPLITUDE, TWO_PI)
 from .errors import (ConfigError, atomic_write, check_integer, check_number,
                      check_object)
 from .lattice import TrapParams, coherent_alpha_from_shift, ground_state_widths
@@ -63,7 +64,8 @@ DEFAULT_CONSTANTS = {
 
 # Domain of each figure constant that has one, as a check and its bounds;
 # every other constant must be a finite number.  The number of points of
-# a periods * points_per_period grid is bounded in check_overrides.
+# a periods * points_per_period grid and fig4c's largest amplified
+# displacement are bounded in check_overrides.
 CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
     "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
@@ -74,6 +76,9 @@ CONSTANT_DOMAINS = {
     "decay_time_s": (check_number, 0, True),
     "calibration": (check_number, 0, True),
     "squeeze_factor": (check_number, 0, True),
+    "alpha_i": (check_number, -MAX_DISPLACEMENT, False, MAX_DISPLACEMENT),
+    "two_r": (check_number, -2 * MAX_SQUEEZE_AMPLITUDE, False,
+              2 * MAX_SQUEEZE_AMPLITUDE),
 }
 
 
@@ -95,6 +100,11 @@ def check_overrides(figure_id, overrides):
         check_number(constants["periods"] * constants["points_per_period"],
                      f"{where}.periods * points_per_period",
                      maximum=MAX_GRID_POINTS)
+    if figure_id == "fig4c" and constants["alpha_i"]:
+        # the largest amplified |alpha_f| = |alpha_i| exp(two_r_max)
+        bound = math.log(MAX_DISPLACEMENT / abs(constants["alpha_i"]))
+        check_number(constants["two_r_max"], f"{where}.two_r_max (|alpha_i| "
+                     f"exp(two_r_max) <= {MAX_DISPLACEMENT})", maximum=bound)
     return checked
 
 
@@ -275,13 +285,11 @@ def _fig4a(spec):
                              alpha_i=alpha_i, r=c["two_r"] / 2.0)
     initial = fock.thermal_density_matrix(c["nbar0"], dim)
     prepared = run_fock(proto, trap, initial=initial, dim=dim).final_rho
-    undo = fock.displacement_operator_exact(-alpha_i, dim)
-    fock.validate_unitary(undo)
+    populations = fock.evolution_populations(
+        fock.displacement_operator_exact(-alpha_i, dim), prepared)
 
     def row(tau):
-        rho = fock.conjugate(
-            undo, fock.apply_free_evolution(trap.omega1, tau, prepared))
-        return {"R": sideband_populations(fock.number_distribution(rho),
+        return {"R": sideband_populations(populations(trap.omega1, tau),
                                           rabi).R}
     return row, {"oscillation_period_s": TWO_PI / trap.omega1,
                  "fock_dim": dim}

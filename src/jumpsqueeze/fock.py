@@ -414,35 +414,38 @@ def number_distribution(rho):
     return probs
 
 
+def _checked_populations(trace, populations):
+    """``populations`` of a state updated from one of trace ``trace``,
+    after the trace check and the tail-mass guard of every update."""
+    if abs(populations.sum() - trace) > _TRACE_TOL:
+        raise ValueError(
+            f"trace not preserved: {trace} -> {populations.sum()}")
+    tail = float(populations[len(populations) - GUARD_BAND:].sum())
+    if tail >= TAIL_TOL:
+        raise TruncationError(
+            f"state carries {tail:.3e} population in the top "
+            f"{GUARD_BAND} levels (tail-mass guard)",
+            min_dim=_advise_dim_from_tail(populations))
+    return populations
+
+
 def _checked_step(rho, out):
     """The checks after every state update ``rho -> out``: re-Hermitize
     to suppress accumulated round-off, verify the trace is kept, and
     raise :class:`TruncationError` rather than return a state carrying
     more than ``TAIL_TOL`` population in the guard band."""
-    trace_before = np.trace(rho).real
     out = 0.5 * (out + out.conj().T)
-    trace_after = np.trace(out).real
-    if abs(trace_after - trace_before) > _TRACE_TOL:
-        raise ValueError(
-            f"trace not preserved: {trace_before} -> {trace_after}")
-    tail = guard_band_population(out)
-    if tail >= TAIL_TOL:
-        raise TruncationError(
-            f"state carries {tail:.3e} population in the top "
-            f"{GUARD_BAND} levels (tail-mass guard)",
-            min_dim=_advise_dim_from_tail(out))
+    _checked_populations(np.trace(rho).real, np.real(np.diag(out)))
     return out
 
 
-def conjugate(u, rho):
-    """``u rho u^dag`` for an operator ``u`` already checked by
-    :func:`validate_unitary`, followed by the per-step checks (see
-    :func:`apply_unitary`)."""
+def _operator_and_state(u, rho):
+    """``u`` and ``rho`` as complex arrays of one square shape."""
     u = np.asarray(u, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if u.shape != rho.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"dimension mismatch: U {u.shape} vs rho {rho.shape}")
-    return _checked_step(rho, u @ rho @ u.conj().T)
+    return u, rho
 
 
 def apply_unitary(u, rho):
@@ -454,7 +457,43 @@ def apply_unitary(u, rho):
     guard band raises :class:`TruncationError` instead of being returned.
     """
     validate_unitary(u)
-    return conjugate(u, rho)
+    u, rho = _operator_and_state(u, rho)
+    return _checked_step(rho, u @ rho @ u.conj().T)
+
+
+def evolution_populations(u, rho):
+    """``populations(omega, tau)``: the number distribution of ``u rho_tau
+    u^dag`` for ``rho_tau`` of :func:`apply_free_evolution`, as ``Re sum_k
+    w_k c[k] exp(-i k omega tau)`` with ``c[k, i] = sum_j u[i, j] rho[j,
+    j-k] conj(u[i, j-k])``, ``w_0 = 1`` and ``w_k = 2`` (``rho`` is
+    Hermitian, so the ``-k`` terms conjugate the ``k`` ones): one ``d^3``
+    build of ``c``, then ``d^2`` work per call.
+
+    ``u`` and ``rho`` are checked once, by :func:`validate_unitary` and
+    :func:`validate_density`.  A congruence ``X -> M X M^dag`` keeps
+    Hermiticity and positive semidefiniteness for any ``M`` (Sylvester), so
+    every ``u rho_tau u^dag`` is a density matrix and needs no per-call
+    factorization.  Each call checks the populations' sum and tail like
+    :func:`apply_unitary` and that none is below the eigenvalue tolerance,
+    then clips them at zero.
+    """
+    validate_unitary(u)
+    u, rho = _operator_and_state(u, rho)
+    trace, dim = np.trace(validate_density(rho)).real, len(rho)
+    ut = u.T.copy()
+    ubar_t, product, c = ut.conj(), np.empty_like(ut), np.empty_like(ut)
+    for k in range(dim):
+        np.multiply(ut[k:], ubar_t[:dim - k], out=product[:dim - k])
+        c[k] = np.diagonal(rho, -k) @ product[:dim - k]
+    c[1:] *= 2.0
+
+    def populations(omega, tau):
+        probs = _checked_populations(
+            trace, (_free_evolution_phases(omega, tau, dim) @ c).real)
+        if probs.min() < _EIGENVALUE_TOL:
+            raise ValueError(f"negative population {probs.min():.3e}")
+        return np.clip(probs, 0.0, None, out=probs)
+    return populations
 
 
 def apply_squeeze(r, rho):
@@ -485,10 +524,10 @@ def apply_free_evolution(omega, tau, rho):
     return _checked_step(rho, rho * (q[:, None] * q.conj()))
 
 
-def _advise_dim_from_tail(rho):
+def _advise_dim_from_tail(populations):
     """Extrapolate a dimension that would satisfy the tail rule, from the
-    geometric decay of the top populations."""
-    diag = np.clip(np.real(np.diag(rho)), 1e-300, None)
+    geometric decay of the top number ``populations``."""
+    diag = np.clip(populations, 1e-300, None)
     dim = len(diag)
     top = diag[dim - GUARD_BAND:]
     ratio = (top[-1] / top[0]) ** (1.0 / (GUARD_BAND - 1))

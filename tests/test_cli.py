@@ -14,10 +14,13 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import jumpsqueeze
+from jumpsqueeze import cli, fock
 from jumpsqueeze.cli import main
-from jumpsqueeze.config import default_config_dict
+from jumpsqueeze.config import default_config_dict, load_config
 from jumpsqueeze.constants import MAX_FOCK_DIM, MAX_JUMP_COUNT
 from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
+from jumpsqueeze.protocol import builtin_protocol, run_fock
+from jumpsqueeze.spectroscopy import sideband_populations
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -242,6 +245,14 @@ class TestConfigHandling:
         ("fig2a_inset", "n_jumps_max", MAX_JUMP_COUNT + 1),
         ("fig2c", "periods", 1e12),
         ("fig4a", "points_per_period", 1e300),
+        # amplitudes beyond the operators' range: checked with the config,
+        # so no earlier figure of `figure all` is written
+        ("fig4a", "alpha_i", 7.0),
+        ("fig4a", "alpha_i", -6.5),
+        ("fig4a", "two_r", 6.5),
+        ("fig4c", "alpha_i", 7.0),
+        ("fig4c", "two_r_max", 5.0),
+        ("fig4c", "two_r_max", 1e308),
     ])
     def test_override_outside_domain_exits_2(self, tmp_path, capsys,
                                              figure_id, key, value):
@@ -249,7 +260,7 @@ class TestConfigHandling:
                               {"figure_overrides": {figure_id: {key: value}}})
         out = tmp_path / "out"
         assert main(["--config", cfg_path, "--out", str(out),
-                     "figure", figure_id]) == 2
+                     "figure", "all"]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -527,3 +538,35 @@ def test_commands_run_without_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fig4a_matches_dense_route(tmp_path, monkeypatch):
+    """fig4a's phase-series rows against the dense route (free evolution,
+    undo displacement, number distribution) at a larger dimension and an
+    off-grid time step."""
+    tables, emit_csv = [], cli.emit_csv
+
+    def emit(table, path):
+        tables.append(table)
+        return emit_csv(table, path)
+    monkeypatch.setattr(cli, "emit_csv", emit)
+    over = {"fock_dim": 256, "points_per_period": 37.5, "periods": 1}
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"figure_overrides": {"fig4a": over}})
+    assert main(["--config", cfg, "--out", str(tmp_path),
+                 "figure", "fig4a"]) == 0
+    (table,) = tables
+    config = load_config(cfg)
+    trap, rabi = config.trap, config.rabi
+    c = {**DEFAULT_CONSTANTS["fig4a"], **over}
+    prepared = run_fock(
+        builtin_protocol("displaced_squeeze", trap, alpha_i=c["alpha_i"],
+                         r=c["two_r"] / 2.0), trap, dim=256,
+        initial=fock.thermal_density_matrix(c["nbar0"], 256)).final_rho
+    undo = fock.displacement_operator_exact(-c["alpha_i"], 256)
+    taus = table.columns["tau_s"]
+    assert len(taus) == 38
+    for tau, R in zip(taus, table.columns["R"]):
+        dense = fock.number_distribution(fock.apply_unitary(
+            undo, fock.apply_free_evolution(trap.omega1, tau, prepared)))
+        assert abs(R - sideband_populations(dense, rabi).R) < 1e-12

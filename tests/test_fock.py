@@ -348,6 +348,60 @@ class TestCachedBases:
                 assert np.max(np.abs(vt @ vt.T - eye)) < 1e-12
 
 
+class TestEvolutionPopulations:
+    """The phase series of :func:`fock.evolution_populations` against the
+    dense route: free evolution, conjugation and number distribution."""
+
+    OMEGA = 2 * math.pi * 93e3
+
+    @staticmethod
+    def _dense(u, rho, tau):
+        return fock.number_distribution(fock.apply_unitary(
+            u, fock.apply_free_evolution(TestEvolutionPopulations.OMEGA, tau,
+                                         rho)))
+
+    @pytest.mark.parametrize("dim", [64, 161, 512])
+    def test_matches_dense_route(self, dim):
+        rho = fock.apply_displacement(0.6, fock.apply_squeeze(
+            0.5, _coherent_mixture(dim)))
+        u = fock.displacement_operator_exact(-0.6 + 0.1j, dim)
+        populations = fock.evolution_populations(u, rho)
+        period = 2 * math.pi / self.OMEGA
+        # at zero, off the figure grid, and at omega tau ~ 2 pi 10^3
+        for tau in (0.0, 0.37 * period, 1000.12 * period):
+            got = populations(self.OMEGA, tau)
+            assert np.max(np.abs(got - self._dense(u, rho, tau))) < 1e-12
+
+    def test_rejects_negative_eigenvalue(self):
+        rho = TestValidateDensity._with_lowest_eigenvalue(-1e-9)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            fock.evolution_populations(np.eye(len(rho)), rho)
+
+    def test_rejects_non_unitary_operator(self):
+        u = 1.001 * fock.displacement_operator_exact(0.5, 64)
+        with pytest.raises(ValueError, match="not unitary"):
+            fock.evolution_populations(u, fock.thermal_density_matrix(0.3, 64))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fock.evolution_populations(
+                np.eye(8), fock.thermal_density_matrix(0.1, 16))
+
+    def test_tail_guard_matches_dense_route(self):
+        # the state fits, but displacing it further fills the guard band
+        rho = fock.apply_displacement(3.0,
+                                      fock.thermal_density_matrix(0.3, 64))
+        u = fock.displacement_operator_exact(3.0, 64)
+        assert fock.guard_band_population(rho) < fock.TAIL_TOL
+        populations = fock.evolution_populations(u, rho)
+        with pytest.raises(TruncationError) as dense:
+            self._dense(u, rho, 0.0)
+        with pytest.raises(TruncationError) as series:
+            populations(self.OMEGA, 0.0)
+        assert "tail-mass guard" in str(series.value)
+        assert series.value.min_dim == dense.value.min_dim > 64
+
+
 class TestValidateDensity:
     @staticmethod
     def _with_lowest_eigenvalue(lowest, dim=32, seed=3):
