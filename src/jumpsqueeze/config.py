@@ -108,7 +108,7 @@ def parse_config(doc):
     if not isinstance(top["output_dir"], str) or not top["output_dir"]:
         raise ConfigError("output_dir: expected a nonempty string")
     figure_overrides = {
-        fig: check_overrides(fig, over) for fig, over in check_object(
+        fig: check_overrides(fig, over, trap) for fig, over in check_object(
             top["figure_overrides"], "figure_overrides", FIGURE_IDS).items()}
 
     for key, bound in (("element_r_values", MAX_SQUEEZE_AMPLITUDE),

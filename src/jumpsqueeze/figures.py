@@ -26,7 +26,8 @@ from .constants import (MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_GRID_POINTS,
                         MAX_JUMP_COUNT, MAX_SQUEEZE_AMPLITUDE, TWO_PI)
 from .errors import (ConfigError, atomic_write, check_integer, check_number,
                      check_object)
-from .lattice import TrapParams, coherent_alpha_from_shift, ground_state_widths
+from .lattice import (TrapParams, coherent_alpha_from_shift,
+                      ground_state_widths, metres_per_alpha)
 from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
                               squeezed_thermal_moments)
 from .protocol import (FrequencyJump, Protocol, ShiftOrigin, UnshiftOrigin,
@@ -62,10 +63,10 @@ DEFAULT_CONSTANTS = {
               "two_r_max": 2.0, "points": 41},
 }
 
-# Domain of each figure constant that has one, as a check and its bounds;
-# every other constant must be a finite number.  The number of points of
-# a periods * points_per_period grid and fig4c's largest amplified
-# displacement are bounded in check_overrides.
+# Domain of each figure constant that has one, as a check and its bounds
+# (a grid from 0 must end above 0); every other constant must be a finite
+# number.  The number of points of a periods * points_per_period grid and
+# the largest amplitude of a sweep are bounded in check_overrides.
 CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
     "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
@@ -76,16 +77,18 @@ CONSTANT_DOMAINS = {
     "decay_time_s": (check_number, 0, True),
     "calibration": (check_number, 0, True),
     "squeeze_factor": (check_number, 0, True),
+    "two_r_max": (check_number, 0, True), "r_max": (check_number, 0, True),
+    "v_max_m_s": (check_number, 0, True), "d_max_m": (check_number, 0, True),
     "alpha_i": (check_number, -MAX_DISPLACEMENT, False, MAX_DISPLACEMENT),
     "two_r": (check_number, -2 * MAX_SQUEEZE_AMPLITUDE, False,
               2 * MAX_SQUEEZE_AMPLITUDE),
 }
 
 
-def check_overrides(figure_id, overrides):
+def check_overrides(figure_id, overrides, trap):
     """Return ``overrides`` of ``figure_id``'s constants, each checked
     against its domain, and with defaults filled in, a grid of at most
-    ``MAX_GRID_POINTS``."""
+    ``MAX_GRID_POINTS`` and amplitudes the operators support at ``trap``."""
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: "
                           f"{', '.join(FIGURE_IDS)}")
@@ -95,16 +98,24 @@ def check_overrides(figure_id, overrides):
                                    DEFAULT_CONSTANTS[figure_id]).items():
         check, *bounds = CONSTANT_DOMAINS.get(key, (check_number,))
         checked[key] = check(value, f"{where}.{key}", *bounds)
-    constants = {**DEFAULT_CONSTANTS[figure_id], **checked}
-    if "periods" in constants:
-        check_number(constants["periods"] * constants["points_per_period"],
+    c = {**DEFAULT_CONSTANTS[figure_id], **checked}
+    if "periods" in c:
+        check_number(c["periods"] * c["points_per_period"],
                      f"{where}.periods * points_per_period",
                      maximum=MAX_GRID_POINTS)
-    if figure_id == "fig4c" and constants["alpha_i"]:
-        # the largest amplified |alpha_f| = |alpha_i| exp(two_r_max)
-        bound = math.log(MAX_DISPLACEMENT / abs(constants["alpha_i"]))
-        check_number(constants["two_r_max"], f"{where}.two_r_max (|alpha_i| "
-                     f"exp(two_r_max) <= {MAX_DISPLACEMENT})", maximum=bound)
+    # each sweep's largest amplitude, as a bound on the constant setting it
+    if figure_id == "fig2a":  # the squeeze r_eff = two_r of the last row
+        key, bound = "two_r_max", MAX_SQUEEZE_AMPLITUDE
+    elif figure_id == "fig2a_inset":  # the squeeze after the last jump
+        key, bound = "r_per_jump", MAX_SQUEEZE_AMPLITUDE / c["n_jumps_max"]
+    elif figure_id == "fig3b":  # the coherent alpha of the largest shift
+        key, bound = "d_max_m", MAX_DISPLACEMENT * metres_per_alpha(
+            replace(trap, calibration=c["calibration"]), trap.omega1)
+    elif figure_id == "fig4c" and c["alpha_i"]:  # |alpha_i| exp(two_r_max)
+        key, bound = "two_r_max", math.log(MAX_DISPLACEMENT / abs(c["alpha_i"]))
+    else:
+        return checked
+    check_number(abs(c[key]), f"{where}.{key}", maximum=bound)
     return checked
 
 
@@ -146,7 +157,7 @@ class CurveTable:
 def build_spec(figure_id, trap, rabi, overrides=None):
     """Assemble a FigureSpec with default per-figure constants and grid,
     applying user overrides."""
-    overrides = check_overrides(figure_id, overrides or {})
+    overrides = check_overrides(figure_id, overrides or {}, trap)
     constants = {**DEFAULT_CONSTANTS[figure_id], **overrides}
     calibrated = replace(trap, calibration=constants.get("calibration",
                                                          trap.calibration))

@@ -220,21 +220,6 @@ def _dense_operator(blocks):
     return out
 
 
-def _conjugate_blocks(blocks, rho):
-    """``U rho U^dag`` for the Hermitian ``rho`` and the block-diagonal
-    ``U`` of :func:`_operator_blocks`, without forming ``U``.  For the two
-    parity blocks of a squeeze that is three pairs of half-size products:
-    the fourth block of the Hermitian result is the adjoint of its
-    mirror."""
-    out = np.empty_like(rho)
-    for i, (rows, u_rows) in enumerate(blocks):
-        for cols, u_cols in blocks[i:]:
-            out[rows, cols] = u_rows @ rho[rows, cols] @ u_cols.conj().T
-            if cols != rows:
-                out[cols, rows] = out[rows, cols].conj().T
-    return out
-
-
 def _squeeze_blocks(r, theta, dim):
     """The blocks of S(r, theta) on ``dim`` levels, after the domain and
     tail-mass checks (raises like :func:`squeeze_operator_exact`)."""
@@ -334,10 +319,6 @@ def thermal_density_matrix(nbar0, dim=DEFAULT_DIM):
     """
     if nbar0 < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar0}")
-    if nbar0 == 0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
     beta = nbar0 / (1.0 + nbar0)
     p = (1.0 - beta) * beta ** np.arange(dim)
     p /= p.sum()
@@ -348,8 +329,6 @@ def thermal_truncation_deficit(nbar0, dim=DEFAULT_DIM):
     """Probability mass of the ideal thermal state beyond the truncation."""
     if nbar0 < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar0}")
-    if nbar0 == 0:
-        return 0.0
     return (nbar0 / (1.0 + nbar0)) ** dim
 
 
@@ -373,28 +352,47 @@ def validate_unitary(u):
 def validate_density(rho):
     """Check Hermiticity, positive semidefiniteness and unit trace.
 
-    No eigenvalue may lie below ``_EIGENVALUE_TOL``; that holds exactly
-    when the Hermitian part minus ``_EIGENVALUE_TOL`` times the identity
-    has a Cholesky factorization.  The eigenvalues are computed only
-    when the factorization fails, to report the most negative one.
+    No eigenvalue may lie below ``_EIGENVALUE_TOL``.  A diagonal ``rho``
+    (every thermal state) is checked exactly on its diagonal.  Otherwise
+    that holds exactly when the Hermitian part minus ``_EIGENVALUE_TOL``
+    times the identity has a Cholesky factorization; the eigenvalues are
+    computed only when it fails, to report the most negative one.
     """
     rho = np.asarray(rho)
-    herm = np.max(np.abs(rho - rho.conj().T))
+    p = np.diagonal(rho)
+    diagonal = np.count_nonzero(rho) == np.count_nonzero(p)
+    adjoint = None if diagonal else rho.conj().T
+    herm = (2.0 * np.max(np.abs(p.imag)) if diagonal
+            else np.max(np.abs(rho - adjoint)))
     if herm > _HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} deviates from 1")
-    shifted = 0.5 * (rho + rho.conj().T)
-    shifted.flat[::len(rho) + 1] -= _EIGENVALUE_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(shifted).min() + _EIGENVALUE_TOL
-        if lowest < _EIGENVALUE_TOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {lowest:.3e}") from None
+    lowest = p.real.min() if diagonal else 0.0
+    if not diagonal:
+        shifted = 0.5 * (rho + adjoint)
+        del adjoint
+        shifted.flat[::len(rho) + 1] -= _EIGENVALUE_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lowest = np.linalg.eigvalsh(shifted).min() + _EIGENVALUE_TOL
+    if lowest < _EIGENVALUE_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
+
+
+def density_factor(rho):
+    """A factor ``M`` of ``rho = M M^dag`` after :func:`validate_density`:
+    ``diag(sqrt(p))`` if ``rho`` is diagonal, else from one ``eigh``, its
+    eigenvalues (none below the tolerance) clipped at zero."""
+    rho = validate_density(np.asarray(rho, dtype=complex))
+    p = np.diagonal(rho).real
+    if np.count_nonzero(rho) > np.count_nonzero(p):
+        lam, v = np.linalg.eigh(rho)
+        return v * np.sqrt(np.clip(lam, 0.0, None))
+    return np.diag(np.sqrt(np.clip(p, 0.0, None)).astype(complex))
 
 
 def guard_band_population(rho):
@@ -404,14 +402,9 @@ def guard_band_population(rho):
 
 
 def number_distribution(rho):
-    """Fock populations Re(rho_nn), clipped at zero.
-
-    The input must satisfy the density-matrix contract.
-    """
-    validate_density(rho)
-    probs = np.real(np.diag(rho)).copy()
-    np.clip(probs, 0.0, None, out=probs)
-    return probs
+    """Fock populations Re(rho_nn), clipped at zero, of a ``rho`` that
+    passes :func:`validate_density`."""
+    return np.clip(np.real(np.diag(validate_density(rho))), 0.0, None)
 
 
 def _checked_populations(trace, populations):
@@ -429,13 +422,11 @@ def _checked_populations(trace, populations):
     return populations
 
 
-def _checked_step(rho, out):
-    """The checks after every state update ``rho -> out``: re-Hermitize
-    to suppress accumulated round-off, verify the trace is kept, and
-    raise :class:`TruncationError` rather than return a state carrying
-    more than ``TAIL_TOL`` population in the guard band."""
-    out = 0.5 * (out + out.conj().T)
-    _checked_populations(np.trace(rho).real, np.real(np.diag(out)))
+def _checked_factor(m, out):
+    """``out`` after a factor update ``m -> out``: its squared row norms
+    (the populations) keep the trace ``|m|_F^2`` and pass the tail guard."""
+    rows = out.view(np.float64)
+    _checked_populations(np.vdot(m, m).real, np.einsum("ij,ij->i", rows, rows))
     return out
 
 
@@ -458,16 +449,20 @@ def apply_unitary(u, rho):
     """
     validate_unitary(u)
     u, rho = _operator_and_state(u, rho)
-    return _checked_step(rho, u @ rho @ u.conj().T)
+    out = u @ rho @ u.conj().T
+    out = 0.5 * (out + out.conj().T)
+    _checked_populations(np.trace(rho).real, np.real(np.diag(out)))
+    return out
 
 
 def evolution_populations(u, rho):
     """``populations(omega, tau)``: the number distribution of ``u rho_tau
-    u^dag`` for ``rho_tau`` of :func:`apply_free_evolution`, as ``Re sum_k
-    w_k c[k] exp(-i k omega tau)`` with ``c[k, i] = sum_j u[i, j] rho[j,
-    j-k] conj(u[i, j-k])``, ``w_0 = 1`` and ``w_k = 2`` (``rho`` is
-    Hermitian, so the ``-k`` terms conjugate the ``k`` ones): one ``d^3``
-    build of ``c``, then ``d^2`` work per call.
+    u^dag`` for ``rho_tau = F rho F^dag`` (``F`` of
+    :func:`free_evolution_operator`), as ``Re sum_k w_k c[k] exp(-i k omega
+    tau)`` with ``c[k, i] = sum_j u[i, j] rho[j, j-k] conj(u[i, j-k])``,
+    ``w_0 = 1`` and ``w_k = 2`` (``rho`` is Hermitian, so the ``-k`` terms
+    conjugate the ``k`` ones): one ``d^3`` build of ``c``, then ``d^2``
+    work per call.
 
     ``u`` and ``rho`` are checked once, by :func:`validate_unitary` and
     :func:`validate_density`.  A congruence ``X -> M X M^dag`` keeps
@@ -496,32 +491,36 @@ def evolution_populations(u, rho):
     return populations
 
 
-def apply_squeeze(r, rho):
-    """``S(r) rho S(r)^dag`` (squeeze angle 0), computed in the cached
-    :func:`squeeze_basis` without forming ``S``; raises like
-    :func:`squeeze_operator_exact` and :func:`apply_unitary`."""
-    rho = np.asarray(rho, dtype=complex)
-    return _checked_step(rho, _conjugate_blocks(
-        _squeeze_blocks(r, 0.0, len(rho)), rho))
+def _apply_blocks(blocks, m):
+    """``U M`` for the block-diagonal ``U`` of :func:`_operator_blocks`,
+    one product per block of rows of ``M``, checked."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    out = np.empty_like(m)
+    for levels, u in blocks:
+        np.matmul(u, m[levels], out=out[levels])
+    return _checked_factor(m, out)
 
 
-def apply_displacement(alpha, rho):
-    """``D(alpha) rho D(alpha)^dag``, computed in the cached
-    :func:`displacement_basis` without forming ``D``; raises like
-    :func:`displacement_operator_exact` and :func:`apply_unitary`."""
-    rho = np.asarray(rho, dtype=complex)
-    return _checked_step(rho, _conjugate_blocks(
-        _displacement_blocks(alpha, len(rho)), rho))
+def apply_squeeze(r, m):
+    """``S(r) M`` (angle 0): the factor of ``S rho S^dag`` for ``rho = M
+    M^dag``, in the cached :func:`squeeze_basis` without forming ``S``;
+    raises like :func:`squeeze_operator_exact` and :func:`apply_unitary`."""
+    return _apply_blocks(_squeeze_blocks(r, 0.0, len(m)), m)
 
 
-def apply_free_evolution(omega, tau, rho):
-    """Free oscillation of a density matrix: ``rho[j, k]`` times
-    ``exp(-i (j - k) omega tau)``, the action of
-    :func:`free_evolution_operator` without forming it; checked like
-    :func:`apply_unitary`."""
-    rho = np.asarray(rho, dtype=complex)
-    q = _free_evolution_phases(omega, tau, len(rho))
-    return _checked_step(rho, rho * (q[:, None] * q.conj()))
+def apply_displacement(alpha, m):
+    """``D(alpha) M``, like :func:`apply_squeeze` in the cached
+    :func:`displacement_basis`; raises like
+    :func:`displacement_operator_exact`."""
+    return _apply_blocks(_displacement_blocks(alpha, len(m)), m)
+
+
+def apply_free_evolution(omega, tau, m):
+    """``F M`` for ``F`` of :func:`free_evolution_operator`, a phase per
+    row of ``M``, without forming ``F``; checked like the other steps."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    q = _free_evolution_phases(omega, tau, len(m))
+    return _checked_factor(m, m * q[:, None])
 
 
 def _advise_dim_from_tail(populations):

@@ -16,7 +16,8 @@ from .errors import TruncationError
 from .lattice import bound_state_count, mathieu_energy
 from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
                               squeezed_thermal_moments)
-from .protocol import builtin_protocol, implied_state, run_fock
+from .protocol import (BUILTIN_PROTOCOLS, builtin_protocol, implied_state,
+                       run_fock)
 
 ELEMENT_TOL = 1e-8
 MOMENT_TOL = 1e-4
@@ -130,14 +131,9 @@ def check_backend_agreement(config):
     amplitudes = config.selfcheck["state_amplitudes"]
     alpha_i = config.selfcheck["alpha_i"]
     worst = 0.0
-    runs = []
-    for r in amplitudes:
-        runs.append(builtin_protocol("S_minus_2r", trap, r=r))
-        runs.append(builtin_protocol("S_plus_2r", trap, r=r))
-        runs.append(builtin_protocol("multi_jump", trap, n_jumps=2, r=r))
-        runs.append(builtin_protocol("displaced_squeeze", trap,
-                                     alpha_i=alpha_i, r=r))
-        runs.append(builtin_protocol("amplify", trap, alpha_i=alpha_i, r=r))
+    # each builtin ignores the keywords it does not take
+    runs = [builtin_protocol(name, trap, n_jumps=2, alpha_i=alpha_i, r=r)
+            for r in amplitudes for name in BUILTIN_PROTOCOLS]
     for proto in runs:
         initial = fock.thermal_density_matrix(nbar0, dim)
         result = run_fock(proto, trap, initial=initial, dim=dim)

@@ -69,10 +69,6 @@ class DecoherenceParams:
 
 def thermal_weights(nbar0, l_max):
     """Boltzmann (geometric) weights for l = 0..l_max."""
-    if nbar0 == 0:
-        w = np.zeros(l_max + 1)
-        w[0] = 1.0
-        return w
     beta = nbar0 / (1.0 + nbar0)
     return (1.0 - beta) * beta ** np.arange(l_max + 1)
 

@@ -23,12 +23,14 @@ from jumpsqueeze.protocol import builtin_protocol, run_fock
 from jumpsqueeze.spectroscopy import sideband_populations
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TOOLS = PERFBENCH.parent / "tools"
 
 
-def _benchmark_module(name):
-    """A module of the benchmark harness, loaded from its file."""
+def _benchmark_module(name, directory=PERFBENCH):
+    """A module of the benchmark harness (or its tools), loaded from its
+    file."""
     spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        f"{directory.name}_{name}", directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -196,6 +198,32 @@ class TestFigureCommand:
         assert all(w is not o for w, o in zip(wrapped, originals))
         assert all(c is o for c, o in zip(current(), originals))
 
+    def test_bench_ab_summary_checks_gain_and_bound(self):
+        bench_ab = _benchmark_module("bench_ab", TOOLS)
+
+        def runs(values):
+            return [{"result": {"metrics": {name: {"value": v}
+                                            for name, v in row.items()}}}
+                    for row in values]
+        parent = [{"wall_s": 1.0 + 0.01 * i, "rss_mb": 40.0,
+                   "rate": 10.0} for i in range(10)]
+        change = [{"wall_s": 0.6 + 0.01 * i, "rss_mb": 40.0 * 1.12,
+                   "rate": 9.5} for i in range(9)]
+        change.append({"wall_s": 1.5, "rss_mb": 40.0 * 1.12, "rate": 9.5})
+        summary = bench_ab._summary(
+            {"parent": runs(parent), "change": runs(change)},
+            {"wall_s": ("lower", 0.25), "rss_mb": ("lower", 0.1),
+             "rate": ("higher", 0.1)})
+        wall, rss, rate = (summary[k] for k in ("wall_s", "rss_mb", "rate"))
+        assert wall["change_wins"] == "9/10" and wall["gain_rule_holds"]
+        assert wall["within_bound"] and wall["bound"] == 0.25
+        assert wall["change_over_parent"] == pytest.approx(0.645 / 1.045)
+        assert not rss["gain_rule_holds"] and not rss["within_bound"]
+        assert rate["change_wins"] == "0/10" and rate["within_bound"]
+        line = bench_ab._summary_line("protocol_batch", "rss_mb", rss)
+        assert line.startswith("protocol_batch rss_mb: parent 40 change 44.8")
+        assert "ratio 1.120" in line and "within_bound False" in line
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("JUMPSQUEEZE_OUT", str(tmp_path / "envdir"))
         assert main(["figure", "fig2d"]) == 0
@@ -253,6 +281,16 @@ class TestConfigHandling:
         ("fig4c", "alpha_i", 7.0),
         ("fig4c", "two_r_max", 5.0),
         ("fig4c", "two_r_max", 1e308),
+        ("fig2a", "two_r_max", 7.0),
+        ("fig2a_inset", "r_per_jump", 1.0),
+        ("fig2a_inset", "r_per_jump", -0.8),
+        ("fig3b", "d_max_m", 4e-7),
+        # a grid from 0 must end above 0
+        ("fig2a", "two_r_max", 0.0),
+        ("fig2b", "r_max", 0.0),
+        ("fig2d", "v_max_m_s", 0.0),
+        ("fig3b", "d_max_m", 0.0),
+        ("fig4c", "two_r_max", 0.0),
     ])
     def test_override_outside_domain_exits_2(self, tmp_path, capsys,
                                              figure_id, key, value):
@@ -263,6 +301,18 @@ class TestConfigHandling:
                      "figure", "all"]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("figure_id, key, value", [
+        ("fig2a", "two_r_max", 2.95),
+        ("fig2a_inset", "r_per_jump", -0.74),
+        ("fig3b", "d_max_m", 2.6e-7),
+    ])
+    def test_override_inside_amplitude_bound_runs(self, tmp_path, capsys,
+                                                  figure_id, key, value):
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              {"figure_overrides": {figure_id: {key: value}}})
+        assert main(["--config", cfg_path, "--out", str(tmp_path),
+                     "figure", figure_id]) == 0
 
     @pytest.mark.parametrize("document, key, value", [
         ("config", "schema_version", True),
@@ -567,6 +617,7 @@ def test_fig4a_matches_dense_route(tmp_path, monkeypatch):
     taus = table.columns["tau_s"]
     assert len(taus) == 38
     for tau, R in zip(taus, table.columns["R"]):
+        evolve = fock.free_evolution_operator(trap.omega1, tau, 256)
         dense = fock.number_distribution(fock.apply_unitary(
-            undo, fock.apply_free_evolution(trap.omega1, tau, prepared)))
+            undo, fock.apply_unitary(evolve, prepared)))
         assert abs(R - sideband_populations(dense, rabi).R) < 1e-12

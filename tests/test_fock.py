@@ -1,5 +1,6 @@
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ class TestApplyUnitary:
         with pytest.raises(TruncationError) as dense:
             fock.apply_unitary(fock.squeeze_operator_exact(1.0, 0.0, 64), rho)
         with pytest.raises(TruncationError) as structured:
-            fock.apply_squeeze(1.0, rho)
+            fock.apply_squeeze(1.0, fock.density_factor(rho))
         assert str(structured.value) == str(dense.value)
         assert structured.value.min_dim == dense.value.min_dim > 64
 
@@ -254,10 +255,19 @@ def _coherent_mixture(dim):
                               fock.thermal_density_matrix(0.3, dim))
 
 
+def _gram(m):
+    return m @ m.conj().T
+
+
+# thermal 0.15 at 512 has normal, subnormal and exactly zero populations
+FACTOR_STATES = {"thermal": lambda dim: fock.thermal_density_matrix(0.15, dim),
+                 "mixture": _coherent_mixture}
+
+
 class TestCachedBases:
     """The operators built from the cached real eigenbases against the
-    exponential of the dense complex generator, and the structured state
-    updates against the dense operators."""
+    exponential of the dense complex generator, and the factor steps
+    against the dense operators."""
 
     DIMS = [64, 160, 256, 512]
 
@@ -282,23 +292,54 @@ class TestCachedBases:
         assert np.max(np.abs(got - reference)) < 1e-12
 
     # odd dimensions give parity blocks of unequal size
+    @pytest.mark.parametrize("state", sorted(FACTOR_STATES))
     @pytest.mark.parametrize("dim", [64, 161, 512])
-    def test_structured_steps_match_dense(self, dim):
-        rho = _coherent_mixture(dim)
+    def test_structured_steps_match_dense(self, dim, state):
+        rho = FACTOR_STATES[state](dim)
+        m = fock.density_factor(rho)
+        assert np.max(np.abs(_gram(m) - rho)) < 1e-12
         for r in (0.45, -0.6):
             dense = fock.apply_unitary(fock.squeeze_operator_exact(r, 0.0, dim),
                                        rho)
-            assert np.max(np.abs(fock.apply_squeeze(r, rho) - dense)) < 1e-12
+            assert np.max(np.abs(_gram(fock.apply_squeeze(r, m))
+                                 - dense)) < 1e-12
         for alpha in (1.2, -0.6, 0.3 - 0.9j):
             dense = fock.apply_unitary(
                 fock.displacement_operator_exact(alpha, dim), rho)
-            assert np.max(np.abs(fock.apply_displacement(alpha, rho)
+            assert np.max(np.abs(_gram(fock.apply_displacement(alpha, m))
                                  - dense)) < 1e-12
         omega, tau = 2 * math.pi * 93e3, 3.7e-6
         dense = fock.apply_unitary(
             fock.free_evolution_operator(omega, tau, dim), rho)
-        assert np.max(np.abs(fock.apply_free_evolution(omega, tau, rho)
+        assert np.max(np.abs(_gram(fock.apply_free_evolution(omega, tau, m))
                              - dense)) < 1e-12
+
+    def test_thermal_state_reaches_subnormal_and_zero_populations(self):
+        p = np.diag(FACTOR_STATES["thermal"](512)).real
+        tiny = np.finfo(float).tiny
+        assert np.any((p > 0) & (p < tiny)) and np.any(p == 0)
+        # the factor's entries sqrt(p) stay normal wherever p is not zero
+        root = np.diag(fock.density_factor(np.diag(p))).real
+        assert np.all((root == 0) | (root > 1e-162))
+
+    @pytest.mark.parametrize("state", sorted(FACTOR_STATES))
+    def test_step_sequence_matches_dense(self, state):
+        dim = 512
+        rho = FACTOR_STATES[state](dim)
+        # the steps take a factor in either memory order
+        m = np.asfortranarray(fock.density_factor(rho))
+        omega, tau = 2 * math.pi * 93e3, 3.7e-6
+        for factor_step, operator in (
+                (partial(fock.apply_squeeze, 0.7),
+                 fock.squeeze_operator_exact(0.7, 0.0, dim)),
+                (partial(fock.apply_free_evolution, omega, tau),
+                 fock.free_evolution_operator(omega, tau, dim)),
+                (partial(fock.apply_squeeze, -0.7),
+                 fock.squeeze_operator_exact(-0.7, 0.0, dim)),
+                (partial(fock.apply_displacement, 0.8 - 0.3j),
+                 fock.displacement_operator_exact(0.8 - 0.3j, dim))):
+            m, rho = factor_step(m), fock.apply_unitary(operator, rho)
+        assert np.max(np.abs(_gram(m) - rho)) < 1e-12
 
     @pytest.mark.parametrize("amplitude, dim", [
         (3.5, 64), (-3.01, 1024), (float("nan"), 64), (float("inf"), 64),
@@ -307,7 +348,8 @@ class TestCachedBases:
         with pytest.raises((ValueError, TruncationError)) as dense:
             fock.squeeze_operator_exact(amplitude, 0.0, dim)
         with pytest.raises(dense.type) as structured:
-            fock.apply_squeeze(amplitude, fock.thermal_density_matrix(0.0, dim))
+            fock.apply_squeeze(amplitude, fock.density_factor(
+                fock.thermal_density_matrix(0.0, dim)))
         assert str(structured.value) == str(dense.value)
         assert getattr(structured.value, "min_dim", None) == getattr(
             dense.value, "min_dim", None)
@@ -319,8 +361,8 @@ class TestCachedBases:
         with pytest.raises((ValueError, TruncationError)) as dense:
             fock.displacement_operator_exact(alpha, dim)
         with pytest.raises(dense.type) as structured:
-            fock.apply_displacement(alpha,
-                                    fock.thermal_density_matrix(0.0, dim))
+            fock.apply_displacement(alpha, fock.density_factor(
+                fock.thermal_density_matrix(0.0, dim)))
         assert str(structured.value) == str(dense.value)
         assert getattr(structured.value, "min_dim", None) == getattr(
             dense.value, "min_dim", None)
@@ -330,7 +372,8 @@ class TestCachedBases:
         # would otherwise take minutes for an amplitude this large
         started = time.perf_counter()
         with pytest.raises(ValueError, match="exceeds supported amplitude"):
-            fock.apply_squeeze(7.2, fock.thermal_density_matrix(0.0, 64))
+            fock.apply_squeeze(7.2, fock.density_factor(
+                fock.thermal_density_matrix(0.0, 64)))
         assert time.perf_counter() - started < 1.0
 
     def test_caches_are_bounded_and_read_only(self):
@@ -356,14 +399,17 @@ class TestEvolutionPopulations:
 
     @staticmethod
     def _dense(u, rho, tau):
+        evolve = fock.free_evolution_operator(TestEvolutionPopulations.OMEGA,
+                                              tau, len(rho))
         return fock.number_distribution(fock.apply_unitary(
-            u, fock.apply_free_evolution(TestEvolutionPopulations.OMEGA, tau,
-                                         rho)))
+            u, fock.apply_unitary(evolve, rho)))
 
     @pytest.mark.parametrize("dim", [64, 161, 512])
     def test_matches_dense_route(self, dim):
-        rho = fock.apply_displacement(0.6, fock.apply_squeeze(
-            0.5, _coherent_mixture(dim)))
+        rho = fock.apply_unitary(
+            fock.displacement_operator_exact(0.6, dim),
+            fock.apply_unitary(fock.squeeze_operator_exact(0.5, 0.0, dim),
+                               _coherent_mixture(dim)))
         u = fock.displacement_operator_exact(-0.6 + 0.1j, dim)
         populations = fock.evolution_populations(u, rho)
         period = 2 * math.pi / self.OMEGA
@@ -389,9 +435,8 @@ class TestEvolutionPopulations:
 
     def test_tail_guard_matches_dense_route(self):
         # the state fits, but displacing it further fills the guard band
-        rho = fock.apply_displacement(3.0,
-                                      fock.thermal_density_matrix(0.3, 64))
         u = fock.displacement_operator_exact(3.0, 64)
+        rho = fock.apply_unitary(u, fock.thermal_density_matrix(0.3, 64))
         assert fock.guard_band_population(rho) < fock.TAIL_TOL
         populations = fock.evolution_populations(u, rho)
         with pytest.raises(TruncationError) as dense:
@@ -425,8 +470,52 @@ class TestValidateDensity:
             fock.validate_density(rho)
 
     def test_accepts_squeezed_thermal_state_at_dim_512(self):
-        rho = fock.apply_squeeze(1.2, fock.thermal_density_matrix(0.5, 512))
+        rho = _gram(fock.apply_squeeze(1.2, fock.density_factor(
+            fock.thermal_density_matrix(0.5, 512))))
         assert fock.validate_density(rho) is rho
+
+    @staticmethod
+    def _diagonal(lowest=0.0, imag=0.0, scale=1.0, dim=32):
+        p = fock.thermal_density_matrix(0.4, dim).diagonal().copy()
+        p[5] = lowest
+        p *= scale / p.sum()
+        p[3] += 1j * imag
+        return np.diag(p)
+
+    @staticmethod
+    def _dense(lowest=0.0, imag=0.0, scale=1.0):
+        rho = TestValidateDensity._with_lowest_eigenvalue(lowest) * scale
+        rho[3, 4] += 1j * imag
+        return rho
+
+    @pytest.mark.parametrize("form", ["_diagonal", "_dense"])
+    @pytest.mark.parametrize("fault, message", [
+        ({"lowest": -1e-9}, r"negative eigenvalue -1\.00\de-09"),
+        ({"imag": 1e-9}, r"not Hermitian \(deviation [12]\.000e-09\)"),
+        ({"scale": 1.001}, r"trace 1\.00(09|1)\d* deviates from 1")])
+    def test_factor_raises_like_validate_density(self, form, fault, message):
+        rho = getattr(self, form)(**fault)
+        with pytest.raises(ValueError, match=message) as validated:
+            fock.validate_density(rho)
+        with pytest.raises(ValueError) as factored:
+            fock.density_factor(rho)
+        assert str(factored.value) == str(validated.value)
+
+    def test_diagonal_check_agrees_with_cholesky_route(self):
+        # a nonzero entry far off the diagonal sends a state down the
+        # Cholesky route without changing its checks' outcome
+        for lowest in (-1e-9, -1e-11, 0.0):
+            rho = self._diagonal(lowest)
+            dense = rho.copy()
+            dense[0, 31] = dense[31, 0] = 1e-300
+            outcomes = []
+            for state in (rho, dense):
+                try:
+                    fock.validate_density(state)
+                    outcomes.append(None)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestTailGuards:

@@ -12,11 +12,12 @@ from jumpsqueeze import fock
 from jumpsqueeze.bogoliubov import squeeze_params_from_pair
 from jumpsqueeze.errors import ConfigError, TruncationError
 from jumpsqueeze.protocol import (BUILTIN_PROTOCOLS, FrequencyJump, Protocol,
-                                  ShiftOrigin, UnshiftOrigin,
-                                  Wait, amplified_alpha, builtin_protocol,
+                                  ShiftOrigin, UnshiftOrigin, Wait, _walk,
+                                  amplified_alpha, builtin_protocol,
                                   implied_state, load_protocol,
                                   protocol_from_json, protocol_to_json,
                                   run_fock, run_symplectic, save_protocol)
+from jumpsqueeze.lattice import metres_per_alpha
 
 DIM = 192
 
@@ -191,6 +192,83 @@ class TestRunFock:
             back = run_fock(proto.inverse(), trap,
                             initial=forward.final_rho, dim=DIM)
             assert np.max(np.abs(back.final_rho - rho0)) < 1e-6
+
+    @staticmethod
+    def _dense_chain(proto, trap, rho):
+        """The protocol's state by dense operators and apply_unitary."""
+        dim = len(rho)
+        for _, step, omega, shift in _walk(proto):
+            if isinstance(step, FrequencyJump):
+                op = fock.squeeze_operator_exact(
+                    0.5 * math.log(omega / step.omega_new), 0.0, dim)
+            elif isinstance(step, Wait):
+                op = fock.free_evolution_operator(omega, step.tau, dim)
+            else:
+                op = fock.displacement_operator_exact(
+                    shift / metres_per_alpha(trap, omega), dim)
+            rho = fock.apply_unitary(op, rho)
+        return rho
+
+    @pytest.mark.parametrize("dim, initial", [
+        # normal, subnormal and exactly zero populations
+        (512, lambda dim: fock.thermal_density_matrix(0.15, dim)),
+        # not diagonal: factored by eigh
+        (161, lambda dim: fock.apply_unitary(
+            fock.displacement_operator_exact(0.4 - 0.3j, dim),
+            fock.thermal_density_matrix(0.3, dim)))],
+        ids=["thermal_512", "displaced_161"])
+    def test_factor_run_matches_dense_chain(self, trap, dim, initial):
+        rho0 = initial(dim)
+        for proto in (builtin_protocol("amplify", trap, alpha_i=0.6, r=0.5),
+                      shift_jump_unshift(trap)):
+            res = run_fock(proto, trap, initial=rho0, dim=dim)
+            dense = self._dense_chain(proto, trap, rho0)
+            assert np.max(np.abs(res.final_rho - dense)) < 1e-12
+
+    def test_factor_run_raises_dense_truncation(self, trap):
+        rho0 = fock.thermal_density_matrix(1.5, 64)
+        jump = FrequencyJump(trap.omega1 * math.exp(-2.0))  # r = 1
+        with pytest.raises(TruncationError) as dense:
+            self._dense_chain(Protocol(trap.omega1, (jump,)), trap, rho0)
+        with pytest.raises(TruncationError) as factored:
+            run_fock(Protocol(trap.omega1, (Wait(1e-6), jump)), trap,
+                     initial=rho0, dim=64)
+        assert factored.value.base_message == \
+            f"step 1 (FrequencyJump): {dense.value.base_message}"
+        assert factored.value.min_dim == dense.value.min_dim > 64
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("fault, message", [
+        ("eigenvalue", "negative eigenvalue -1.0"),
+        ("hermiticity", "not Hermitian"), ("trace", "deviates from 1")])
+    def test_initial_state_raises_like_validate_density(self, trap, diagonal,
+                                                        fault, message):
+        dim = 32
+        rho = fock.thermal_density_matrix(0.4, dim)
+        if not diagonal:
+            rho = fock.apply_unitary(fock.displacement_operator_exact(
+                0.3, dim), rho)
+        if fault == "eigenvalue" and diagonal:
+            rho[dim - 1, dim - 1] = -1e-9
+        elif fault == "eigenvalue":
+            w, v = np.linalg.eigh(rho)
+            rho -= (w[0] + 1e-9) * np.outer(v[:, 0], v[:, 0].conj())
+        elif fault == "hermiticity":
+            rho[3, 3 if diagonal else 4] += 1e-9j
+        rho *= (1.001 if fault == "trace" else 1.0) / np.trace(rho).real
+        assert diagonal == (np.count_nonzero(rho)
+                            == np.count_nonzero(np.diag(rho)))
+        with pytest.raises(ValueError, match=message) as validated:
+            fock.validate_density(rho)
+        with pytest.raises(ValueError) as started:
+            run_fock(builtin_protocol("S_minus_2r", trap, r=0.2), trap,
+                     initial=rho, dim=dim)
+        assert str(started.value) == str(validated.value)
+
+    def test_initial_state_shape_must_match_dim(self, trap):
+        with pytest.raises(ValueError, match="does not match dim=64"):
+            run_fock(builtin_protocol("S_minus_2r", trap, r=0.2), trap,
+                     initial=fock.thermal_density_matrix(0.2, 48), dim=64)
 
     def test_elapsed_time(self, trap):
         proto = builtin_protocol("S_minus_2r", trap)

@@ -9,9 +9,11 @@ checkouts, alternating which side runs first from pair to pair.  The
 output keeps the last two lines of every run (the report line and the
 result line) and, per workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, how many pairs
-the change won, and whether the gain rule holds: the change wins at
-least nine tenths of the pairs and its median beats the parent's by
-more than the parent's interquartile range.
+the change won, whether the gain rule holds (the change wins at least
+nine tenths of the pairs and its median beats the parent's by more than
+the parent's interquartile range) and whether the change's median is
+within the metric's bound of the parent's.  One summary line per
+workload and metric is printed at the end.
 """
 
 import argparse
@@ -47,9 +49,10 @@ def _quartiles(values):
 
 
 def _summary(runs, metrics):
-    """Per end-to-end metric: medians, quartiles, wins and the gain rule."""
+    """Per end-to-end metric, given as ``{name: (better, bound)}``:
+    medians, quartiles, wins, the gain rule and the bound check."""
     out = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         sign = 1.0 if better == "lower" else -1.0
         values = {side: [r["result"]["metrics"][name]["value"]
                          for r in runs[side]] for side in SIDES}
@@ -57,18 +60,29 @@ def _summary(runs, metrics):
         wins = sum(sign * (p - c) > 0
                    for p, c in zip(values["parent"], values["change"]))
         gain = sign * (quart["parent"][1] - quart["change"][1])
+        ratio = quart["change"][1] / quart["parent"][1]
         out[name] = {
             "parent_median": quart["parent"][1],
             "change_median": quart["change"][1],
             "parent_quartiles": quart["parent"],
             "change_quartiles": quart["change"],
-            "change_over_parent": quart["change"][1] / quart["parent"][1],
+            "change_over_parent": ratio,
             "change_wins": f"{wins}/{len(values['parent'])}",
             "gain_rule_holds": (wins >= 0.9 * len(values["parent"])
                                 and gain > quart["parent"][2]
                                 - quart["parent"][0]),
+            "bound": bound,
+            "within_bound": (ratio <= 1.0 + bound if better == "lower"
+                             else ratio >= 1.0 - bound),
         }
     return out
+
+
+def _summary_line(workload, name, row):
+    return (f"{workload} {name}: parent {row['parent_median']:.4g} change "
+            f"{row['change_median']:.4g} ratio {row['change_over_parent']:.3f}"
+            f" wins {row['change_wins']} gain_rule {row['gain_rule_holds']} "
+            f"within_bound {row['within_bound']} (bound {row['bound']})")
 
 
 def main(argv=None):
@@ -79,7 +93,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"])
+               for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     doc = {"command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
@@ -102,6 +117,9 @@ def main(argv=None):
         doc["environment"] = {key: env[key] for key in (
             "python", "numpy", "openblas", "openblas_threads", "nproc")}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for workload, entry in doc["workloads"].items():
+        for name, row in entry["summary"].items():
+            print(_summary_line(workload, name, row))
 
 
 if __name__ == "__main__":
