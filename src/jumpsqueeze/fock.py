@@ -360,7 +360,8 @@ def validate_density(rho):
     """
     rho = np.asarray(rho)
     p = np.diagonal(rho)
-    diagonal = np.count_nonzero(rho) == np.count_nonzero(p)
+    diagonal = (rho.shape == 2 * p.shape
+                and np.count_nonzero(rho) == np.count_nonzero(p))
     adjoint = None if diagonal else rho.conj().T
     herm = (2.0 * np.max(np.abs(p.imag)) if diagonal
             else np.max(np.abs(rho - adjoint)))
@@ -492,8 +493,7 @@ def evolution_populations(u, rho):
 
 
 def _apply_blocks(blocks, m):
-    """``U M`` for the block-diagonal ``U`` of :func:`_operator_blocks`,
-    one product per block of rows of ``M``, checked."""
+    """``U M``, checked, for the block-diagonal ``U`` of the ``blocks``."""
     m = np.ascontiguousarray(m, dtype=complex)
     out = np.empty_like(m)
     for levels, u in blocks:

@@ -292,27 +292,28 @@ class TestCachedBases:
         assert np.max(np.abs(got - reference)) < 1e-12
 
     # odd dimensions give parity blocks of unequal size
-    @pytest.mark.parametrize("state", sorted(FACTOR_STATES))
     @pytest.mark.parametrize("dim", [64, 161, 512])
-    def test_structured_steps_match_dense(self, dim, state):
-        rho = FACTOR_STATES[state](dim)
-        m = fock.density_factor(rho)
-        assert np.max(np.abs(_gram(m) - rho)) < 1e-12
-        for r in (0.45, -0.6):
-            dense = fock.apply_unitary(fock.squeeze_operator_exact(r, 0.0, dim),
-                                       rho)
-            assert np.max(np.abs(_gram(fock.apply_squeeze(r, m))
-                                 - dense)) < 1e-12
-        for alpha in (1.2, -0.6, 0.3 - 0.9j):
+    def test_structured_steps_match_dense(self, dim):
+        for make_state in FACTOR_STATES.values():
+            rho = make_state(dim)
+            m = fock.density_factor(rho)
+            assert np.max(np.abs(_gram(m) - rho)) < 1e-12
+            for r in (0.45, -0.6):
+                dense = fock.apply_unitary(
+                    fock.squeeze_operator_exact(r, 0.0, dim), rho)
+                assert np.max(np.abs(_gram(fock.apply_squeeze(r, m))
+                                     - dense)) < 1e-12
+            for alpha in (1.2, -0.6, 0.3 - 0.9j):
+                dense = fock.apply_unitary(
+                    fock.displacement_operator_exact(alpha, dim), rho)
+                assert np.max(np.abs(_gram(fock.apply_displacement(alpha, m))
+                                     - dense)) < 1e-12
+            omega, tau = 2 * math.pi * 93e3, 3.7e-6
             dense = fock.apply_unitary(
-                fock.displacement_operator_exact(alpha, dim), rho)
-            assert np.max(np.abs(_gram(fock.apply_displacement(alpha, m))
-                                 - dense)) < 1e-12
-        omega, tau = 2 * math.pi * 93e3, 3.7e-6
-        dense = fock.apply_unitary(
-            fock.free_evolution_operator(omega, tau, dim), rho)
-        assert np.max(np.abs(_gram(fock.apply_free_evolution(omega, tau, m))
-                             - dense)) < 1e-12
+                fock.free_evolution_operator(omega, tau, dim), rho)
+            assert np.max(np.abs(
+                _gram(fock.apply_free_evolution(omega, tau, m))
+                - dense)) < 1e-12
 
     def test_thermal_state_reaches_subnormal_and_zero_populations(self):
         p = np.diag(FACTOR_STATES["thermal"](512)).real
@@ -473,6 +474,10 @@ class TestValidateDensity:
         rho = _gram(fock.apply_squeeze(1.2, fock.density_factor(
             fock.thermal_density_matrix(0.5, 512))))
         assert fock.validate_density(rho) is rho
+
+    def test_rejects_non_square_diagonal(self):
+        with pytest.raises(ValueError):
+            fock.validate_density(np.eye(3, 4) / 3)
 
     @staticmethod
     def _diagonal(lowest=0.0, imag=0.0, scale=1.0, dim=32):
