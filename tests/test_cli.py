@@ -302,15 +302,17 @@ class TestConfigHandling:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("figure_id, key, value", [
-        ("fig2a", "two_r_max", 2.95),
-        ("fig2a_inset", "r_per_jump", -0.74),
-        ("fig3b", "d_max_m", 2.6e-7),
+    @pytest.mark.parametrize("figure_id, overrides", [
+        ("fig2a", {"two_r_max": 2.95}),
+        ("fig2a_inset", {"r_per_jump": -0.74}),
+        ("fig3b", {"d_max_m": 2.6e-7}),
+        # the figure's own calibration sets its alpha: 4.9 here
+        ("fig3b", {"d_max_m": 5e-7, "calibration": 2.0}),
     ])
     def test_override_inside_amplitude_bound_runs(self, tmp_path, capsys,
-                                                  figure_id, key, value):
+                                                  figure_id, overrides):
         cfg_path = write_json(tmp_path / "cfg.json",
-                              {"figure_overrides": {figure_id: {key: value}}})
+                              {"figure_overrides": {figure_id: overrides}})
         assert main(["--config", cfg_path, "--out", str(tmp_path),
                      "figure", figure_id]) == 0
 

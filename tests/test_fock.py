@@ -509,8 +509,9 @@ class TestValidateDensity:
     def test_diagonal_check_agrees_with_cholesky_route(self):
         # a nonzero entry far off the diagonal sends a state down the
         # Cholesky route without changing its checks' outcome
-        for lowest in (-1e-9, -1e-11, 0.0):
-            rho = self._diagonal(lowest)
+        for fault in ({"lowest": -1e-9}, {"lowest": -1e-11}, {},
+                      {"imag": 1e-9}, {"imag": 4e-13}, {"scale": 1.001}):
+            rho = self._diagonal(**fault)
             dense = rho.copy()
             dense[0, 31] = dense[31, 0] = 1e-300
             outcomes = []
