@@ -67,14 +67,15 @@ def cmd_protocol_run(args, config):
     protocol = load_protocol(args.protocol_file)
     dim = config.fock_dim
     while True:
-        # grow the basis per the tail-mass advisory rather than truncate
+        # grow the basis per the tail-mass advisory, capped at MAX_FOCK_DIM,
+        # rather than truncate; give up once a run at the cap has failed
         try:
             initial = fock.thermal_density_matrix(config.nbar0, dim)
             result = run_fock(protocol, config.trap, initial=initial, dim=dim)
             break
         except TruncationError as exc:
-            advised = exc.min_dim or 2 * dim
-            if advised <= dim or advised > MAX_FOCK_DIM:
+            advised = min(exc.min_dim or 2 * dim, MAX_FOCK_DIM)
+            if advised <= dim:
                 raise
             print(f"note: raising fock_dim {dim} -> {advised} "
                   f"({exc.base_message})", file=sys.stderr)

@@ -106,8 +106,17 @@ def check_overrides(figure_id, overrides, trap):
     # each sweep's largest amplitude, as a bound on the constant setting it
     if figure_id == "fig2a":  # the squeeze r_eff = two_r of the last row
         key, bound = "two_r_max", MAX_SQUEEZE_AMPLITUDE
-    elif figure_id == "fig2a_inset":  # the squeeze after the last jump
-        key, bound = "r_per_jump", MAX_SQUEEZE_AMPLITUDE / c["n_jumps_max"]
+    elif figure_id == "fig2a_inset":  # the squeeze r_eff of the last row
+        key, n = "r_per_jump", c["n_jumps_max"]
+        # r_eff is n |r_per_jump| only up to round-off; a first, loose bound
+        # on that product keeps the pair of the n-jump chain finite
+        check_number(abs(c[key]), f"{where}.{key}",
+                     maximum=2 * MAX_SQUEEZE_AMPLITUDE / n)
+        last = builtin_protocol("multi_jump", trap, n_jumps=n, r=c[key])
+        check_number(squeeze_params_from_pair(run_symplectic(
+            last, trap).pair).r, f"{where}.{key} (r_eff after {n} jumps)",
+            maximum=MAX_SQUEEZE_AMPLITUDE)
+        return checked
     elif figure_id == "fig3b":  # the coherent alpha of the largest shift
         key, bound = "d_max_m", MAX_DISPLACEMENT * metres_per_alpha(
             replace(trap, calibration=c["calibration"]), trap.omega1)

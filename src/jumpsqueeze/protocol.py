@@ -185,9 +185,8 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
     """Run a protocol on the exact Fock backend.
 
     The state is a factor ``M`` of ``rho = M M^dag``: each step multiplies
-    ``M`` from the left, and ``final_rho = M M^dag`` is formed once.  That
-    Gram matrix, the congruence ``M I M^dag``, is Hermitian and positive
-    semidefinite for any ``M`` (Sylvester), so no step re-Hermitizes.
+    ``M`` from the left, and ``final_rho`` is formed once, by
+    :func:`fock.density_from_factor`, so no step re-Hermitizes.
 
     Parameters
     ----------
@@ -233,12 +232,9 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
             raise TruncationError(
                 f"step {i} ({type(step).__name__}): {exc.base_message}",
                 min_dim=exc.min_dim) from exc
-    # at 2^500 (|M|_F is 1) no product of small entries is subnormal, a
-    # range BLAS runs up to ten times slower; powers of two scale exactly
-    m *= 2.0 ** 500
     return ProtocolResult(symplectic.pair, symplectic.displacement,
                           symplectic.elapsed, protocol.final_omega,
-                          final_rho=m @ m.conj().T * 2.0 ** -1000)
+                          final_rho=fock.density_from_factor(m))
 
 
 def implied_state(result, nbar0, dim=fock.DEFAULT_DIM):
@@ -250,14 +246,12 @@ def implied_state(result, nbar0, dim=fock.DEFAULT_DIM):
     state is D(alpha) S(r_eff, theta_eff) rho_th S^dag D^dag.
     """
     sp = squeeze_params_from_pair(result.pair)
-    rho = fock.thermal_density_matrix(nbar0, dim)
+    m = fock.density_factor(fock.thermal_density_matrix(nbar0, dim))
     if sp.r > 0:
-        s_op = fock.squeeze_operator_exact(sp.r, sp.theta, dim)
-        rho = fock.apply_unitary(s_op, rho)
+        m = fock.apply_squeeze(sp.r, m, sp.theta)
     if abs(result.displacement) > 0:
-        d_op = fock.displacement_operator_exact(result.displacement, dim)
-        rho = fock.apply_unitary(d_op, rho)
-    return rho
+        m = fock.apply_displacement(result.displacement, m)
+    return fock.density_from_factor(m)
 
 
 BUILTIN_PROTOCOLS = ("S_minus_2r", "S_plus_2r", "multi_jump",

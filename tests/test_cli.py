@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import jumpsqueeze
 from jumpsqueeze import cli, fock
 from jumpsqueeze.cli import main
-from jumpsqueeze.config import default_config_dict, load_config
+from jumpsqueeze.config import default_config_dict, load_config, parse_config
 from jumpsqueeze.constants import MAX_FOCK_DIM, MAX_JUMP_COUNT
 from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
-from jumpsqueeze.protocol import builtin_protocol, run_fock
+from jumpsqueeze.protocol import builtin_protocol, run_fock, save_protocol
+from jumpsqueeze.selfcheck import check_mathieu
 from jumpsqueeze.spectroscopy import sideband_populations
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -316,6 +317,25 @@ class TestConfigHandling:
         assert main(["--config", cfg_path, "--out", str(tmp_path),
                      "figure", figure_id]) == 0
 
+    def test_multi_jump_amplitude_at_its_bound(self, tmp_path, capsys):
+        # n jumps of 3/n reach r_eff 3 only up to round-off; each n either
+        # runs or is refused, naming the key, before any table is written
+        key = "figure_overrides.fig2a_inset.r_per_jump"
+        codes = set()
+        for n in range(1, 101):
+            cfg = write_json(tmp_path / "cfg.json", nested(
+                "figure_overrides.fig2a_inset",
+                {"r_per_jump": 3.0 / n, "n_jumps_max": n}))
+            out = tmp_path / f"out{n}"
+            code = main(["--config", cfg, "--out", str(out), "figure",
+                         "fig2a_inset"])
+            err = capsys.readouterr().err
+            codes.add(code)
+            assert code in (0, 2)
+            if code == 2:
+                assert key in err and not out.exists()
+        assert codes == {0, 2}
+
     @pytest.mark.parametrize("document, key, value", [
         ("config", "schema_version", True),
         ("protocol", "schema_version", True),
@@ -435,7 +455,6 @@ class TestProtocolRun:
         assert doc["R"] == pytest.approx(0.22 / 1.22, abs=1e-6)
 
     def test_amplify_displacement(self, tmp_path, capsys, config):
-        from jumpsqueeze.protocol import builtin_protocol, save_protocol
         proto = builtin_protocol("amplify", config.trap,
                                  alpha_i=0.67, r=1.23 / 2)
         path = tmp_path / "amplify.json"
@@ -502,6 +521,32 @@ class TestProtocolRun:
             summary = json.loads(out)
             assert summary["fock_dim"] <= MAX_FOCK_DIM
 
+    def test_growth_tries_max_fock_dim(self, tmp_path, capsys, trap):
+        # from 64 the advice runs 80, 320, then 1280, above MAX_FOCK_DIM
+        path = tmp_path / "proto.json"
+        save_protocol(builtin_protocol("S_minus_2r", trap, r=1.2), path)
+        runs = []
+        for dim in (64, MAX_FOCK_DIM):
+            cfg = write_json(tmp_path / "cfg.json",
+                             {"fock_dim": dim, "nbar0": 0.22})
+            assert main(["--config", cfg, "protocol", "run", str(path)]) == 0
+            runs.append(capsys.readouterr())
+        grown, direct = runs
+        assert f"raising fock_dim 320 -> {MAX_FOCK_DIM}" in grown.err
+        assert grown.out == direct.out
+        assert json.loads(grown.out)["fock_dim"] == MAX_FOCK_DIM
+
+    def test_growth_gives_up_after_max_fock_dim_fails(self, tmp_path,
+                                                      capsys, trap):
+        path = tmp_path / "proto.json"
+        save_protocol(builtin_protocol("S_minus_2r", trap, r=1.5), path)
+        cfg = write_json(tmp_path / "cfg.json", {"fock_dim": 64})
+        assert main(["--config", cfg, "protocol", "run", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"-> {MAX_FOCK_DIM} (" in captured.err
+        assert "numerical failure: step 2" in captured.err
+
     def test_envelope_violation_exits_3(self, tmp_path, capsys):
         # a squeeze amplitude beyond the supported range
         path = write_json(tmp_path / "deep.json", {
@@ -544,6 +589,15 @@ class TestSelfcheck:
                               {"selfcheck": {"element_n_max": 40}})
         assert main(["--config", cfg_path, "selfcheck"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_bound_state_counts(self, config):
+        # the harmonic count is the published 11 for the default trap
+        assert check_mathieu(config.trap)[1].detail == \
+            "harmonic 11, expansion 14, diagonalization 15"
+        deeper = parse_config({"trap": {
+            "v0_hz": 2 * default_config_dict()["trap"]["v0_hz"]}}).trap
+        detail = check_mathieu(deeper)[1].detail
+        assert int(re.match(r"harmonic (\d+),", detail).group(1)) > 11
 
     def test_truncation_fails_its_check_and_the_rest_still_run(
             self, tmp_path, capsys):

@@ -298,10 +298,10 @@ class TestCachedBases:
             rho = make_state(dim)
             m = fock.density_factor(rho)
             assert np.max(np.abs(_gram(m) - rho)) < 1e-12
-            for r in (0.45, -0.6):
+            for r, theta in ((0.45, 0.0), (-0.6, 0.0), (0.45, 1.1)):
                 dense = fock.apply_unitary(
-                    fock.squeeze_operator_exact(r, 0.0, dim), rho)
-                assert np.max(np.abs(_gram(fock.apply_squeeze(r, m))
+                    fock.squeeze_operator_exact(r, theta, dim), rho)
+                assert np.max(np.abs(_gram(fock.apply_squeeze(r, m, theta))
                                      - dense)) < 1e-12
             for alpha in (1.2, -0.6, 0.3 - 0.9j):
                 dense = fock.apply_unitary(

@@ -225,6 +225,25 @@ class TestRunFock:
             dense = self._dense_chain(proto, trap, rho0)
             assert np.max(np.abs(res.final_rho - dense)) < 1e-12
 
+    @pytest.mark.parametrize("dim", [64, 161, 512])
+    def test_implied_state_matches_dense_operators(self, trap, dim):
+        thermal = fock.thermal_density_matrix(0.15, dim)
+        squeezed, amplified = (run_symplectic(builtin_protocol(
+            name, trap, alpha_i=0.5, r=0.3), trap)
+            for name in ("S_minus_2r", "amplify"))
+        # a squeeze at angle pi/2, and a displacement of phase near pi
+        assert squeeze_params_from_pair(squeezed.pair).theta == \
+            pytest.approx(math.pi / 2)
+        assert abs(cmath.phase(amplified.displacement)) == \
+            pytest.approx(math.pi)
+        for res in (squeezed, amplified):
+            sp = squeeze_params_from_pair(res.pair)
+            dense = fock.apply_unitary(fock.displacement_operator_exact(
+                res.displacement, dim), fock.apply_unitary(
+                    fock.squeeze_operator_exact(sp.r, sp.theta, dim), thermal))
+            assert np.max(np.abs(implied_state(res, 0.15, dim)
+                                 - dense)) < 1e-12
+
     def test_factor_run_raises_dense_truncation(self, trap):
         rho0 = fock.thermal_density_matrix(1.5, 64)
         jump = FrequencyJump(trap.omega1 * math.exp(-2.0))  # r = 1
