@@ -81,7 +81,7 @@ def cmd_protocol_run(args, config):
                   f"({exc.base_message})", file=sys.stderr)
             dim = advised
     params = squeeze_params_from_pair(result.pair)
-    dist = fock.number_distribution(result.final_rho)
+    dist = fock.factor_populations(result.final_factor)
     sideband = sideband_populations(dist, config.rabi)
     doc = {
         "schema_version": SCHEMA_VERSION,

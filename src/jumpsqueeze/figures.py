@@ -65,8 +65,8 @@ DEFAULT_CONSTANTS = {
 
 # Domain of each figure constant that has one, as a check and its bounds
 # (a grid from 0 must end above 0); every other constant must be a finite
-# number.  The number of points of a periods * points_per_period grid and
-# the largest amplitude of a sweep are bounded in check_overrides.
+# number.  Grid sizes, the largest amplitude of a sweep and fig2d's largest
+# Gaussian exponent are bounded in check_overrides.
 CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
     "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
@@ -122,6 +122,13 @@ def check_overrides(figure_id, overrides, trap):
             replace(trap, calibration=c["calibration"]), trap.omega1)
     elif figure_id == "fig4c" and c["alpha_i"]:  # |alpha_i| exp(two_r_max)
         key, bound = "two_r_max", math.log(MAX_DISPLACEMENT / abs(c["alpha_i"]))
+    elif figure_id == "fig2d":  # the last row's exponent, narrowest width
+        v, sigma = c["v_max_m_s"], ground_state_widths(trap)[1] * math.exp(
+            -abs(math.log(c["squeeze_factor"])))
+        check_number(v * v / (2.0 * sigma ** 2) if sigma ** 2 else math.inf,
+                     f"{where}.v_max_m_s: v_max^2 / (2 sigma^2) at the "
+                     f"narrowest width sigma = {sigma} m/s")
+        return checked
     else:
         return checked
     check_number(abs(c[key]), f"{where}.{key}", maximum=bound)

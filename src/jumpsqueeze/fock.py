@@ -38,6 +38,7 @@ _UNITARY_TOL = 1e-8
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_TOL = -1e-10
 _TRACE_TOL = 1e-8
+_RANK_CUT = 1e-20  # relative weight below which density_factor drops a column
 
 # Each cached basis of dimension D holds about 8 D^2 bytes of
 # eigenvectors (8 MB at the largest dimension, MAX_FOCK_DIM).
@@ -187,41 +188,9 @@ def displacement_basis(dim):
     return (_eigenbasis(slice(0, dim), np.sqrt(np.arange(1.0, dim))),)
 
 
-def _operator_blocks(basis, angle, scale):
-    """The diagonal blocks ``(levels, U_b)`` of ``U = P W P^dag``, with
-    ``P = diag(exp(i angle n))`` and ``W = V diag(exp(i scale lambda))
-    V^T`` from ``basis``; off its blocks ``U`` is zero.
-
-    ``W`` comes from one real x complex product on the float view, so the
-    real ``V`` is never upcast.  At ``scale == 0`` every ``W`` is the
-    identity, which ``V V^T`` would reproduce only to round-off.
-    """
-    phases = np.exp(1j * angle * np.arange(sum(len(b[1]) for b in basis)))
-    blocks = []
-    for levels, lam, vt in basis:
-        if scale == 0:
-            w = np.eye(len(lam), dtype=complex)
-        else:
-            rows = np.exp(1j * scale * lam)[:, None] * vt
-            w = (vt.T @ rows.view(np.float64)).view(complex)
-        p = phases[levels]
-        blocks.append((levels, p[:, None] * w * p.conj()))
-    return blocks
-
-
-def _dense_operator(blocks):
-    """The dense operator with the diagonal blocks of
-    :func:`_operator_blocks`."""
-    dim = sum(len(u) for _, u in blocks)
-    out = np.zeros((dim, dim), dtype=complex)
-    for levels, u in blocks:
-        out[levels, levels] = u
-    return out
-
-
-def _squeeze_blocks(r, theta, dim):
-    """The blocks of S(r, theta) on ``dim`` levels, after the domain and
-    tail-mass checks (raises like :func:`squeeze_operator_exact`)."""
+def _squeeze_step(r, theta, dim):
+    """``(basis, angle, scale)`` of S(r, theta) on ``dim`` levels, after
+    the domain and tail-mass checks (raises like squeeze_operator_exact)."""
     if not math.isfinite(r) or not math.isfinite(theta):
         raise ValueError("squeeze parameters must be finite")
     if abs(r) > MAX_SQUEEZE_AMPLITUDE:
@@ -232,12 +201,12 @@ def _squeeze_blocks(r, theta, dim):
         raise TruncationError(
             f"dimension {dim} too small for squeeze amplitude |r| = {abs(r)}: "
             "tail-mass rule violated in the guard band", min_dim=needed)
-    return _operator_blocks(squeeze_basis(dim), 0.25 * math.pi + theta, r)
+    return squeeze_basis(dim), 0.25 * math.pi + theta, r
 
 
-def _displacement_blocks(alpha, dim):
-    """The block of D(alpha) on ``dim`` levels, after the domain and
-    tail-mass checks (raises like :func:`displacement_operator_exact`)."""
+def _displacement_step(alpha, dim):
+    """``(basis, angle, scale)`` of D(alpha) on ``dim`` levels, like
+    :func:`_squeeze_step` (raises like :func:`displacement_operator_exact`)."""
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("displacement must be finite")
@@ -249,8 +218,27 @@ def _displacement_blocks(alpha, dim):
         raise TruncationError(
             f"dimension {dim} too small for displacement |alpha| = {abs(alpha)}: "
             "tail-mass rule violated in the guard band", min_dim=needed)
-    return _operator_blocks(displacement_basis(dim),
-                            0.5 * math.pi + cmath.phase(alpha), -abs(alpha))
+    return (displacement_basis(dim), 0.5 * math.pi + cmath.phase(alpha),
+            -abs(alpha))
+
+
+def _dense_operator(basis, angle, scale):
+    """The dense ``U = P W P^dag``: ``P = diag(exp(i angle n))`` and the
+    blocks ``W = V diag(exp(i scale lambda)) V^T`` of ``basis``, each from
+    one real x complex product on the float view (the real ``V`` is never
+    upcast).  At ``scale == 0`` every ``W`` is the identity, which ``V V^T``
+    would reproduce only to round-off."""
+    phases = np.exp(1j * angle * np.arange(sum(len(b[1]) for b in basis)))
+    out = np.zeros((len(phases),) * 2, dtype=complex)
+    for levels, lam, vt in basis:
+        if scale == 0:
+            w = np.eye(len(lam), dtype=complex)
+        else:
+            rows = np.exp(1j * scale * lam)[:, None] * vt
+            w = (vt.T @ rows.view(np.float64)).view(complex)
+        p = phases[levels]
+        out[levels, levels] = p[:, None] * w * p.conj()
+    return out
 
 
 def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
@@ -277,7 +265,7 @@ def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
         If ``dim`` cannot hold the squeezed vacuum within the tail-mass
         rule; carries an advisory minimum dimension.
     """
-    return _dense_operator(_squeeze_blocks(r, theta, dim))
+    return _dense_operator(*_squeeze_step(r, theta, dim))
 
 
 def displacement_operator_exact(alpha, dim=DEFAULT_DIM):
@@ -289,7 +277,7 @@ def displacement_operator_exact(alpha, dim=DEFAULT_DIM):
     Raises like :func:`squeeze_operator_exact`, with the tail rule
     evaluated on the Poisson distribution of D(alpha)|0>.
     """
-    return _dense_operator(_displacement_blocks(alpha, dim))
+    return _dense_operator(*_displacement_step(alpha, dim))
 
 
 def _free_evolution_phases(omega, tau, dim):
@@ -384,15 +372,19 @@ def validate_density(rho):
 
 
 def density_factor(rho):
-    """A factor ``M`` of ``rho = M M^dag`` after :func:`validate_density`:
-    ``diag(sqrt(p))`` if ``rho`` is diagonal, else from one ``eigh``, its
-    eigenvalues (none below the tolerance) clipped at zero."""
+    """A ``d x K`` factor of ``rho`` after :func:`validate_density`: a column
+    ``sqrt(p) v`` per eigenpair (number states if diagonal, else by ``eigh``)
+    of weight ``p > _RANK_CUT max(p)``; the mass dropped is < d _RANK_CUT."""
     rho = validate_density(np.asarray(rho, dtype=complex))
     p = np.diagonal(rho).real
     if np.count_nonzero(rho) > np.count_nonzero(p):
-        lam, v = np.linalg.eigh(rho)
-        return v * np.sqrt(np.clip(lam, 0.0, None))
-    return np.diag(np.sqrt(np.clip(p, 0.0, None)).astype(complex))
+        p, v = np.linalg.eigh(rho)
+        keep = p > _RANK_CUT * p.max()
+        return v[:, keep] * np.sqrt(p[keep])
+    (levels,) = np.nonzero(p > _RANK_CUT * p.max())
+    m = np.zeros((len(p), len(levels)), dtype=complex)
+    m[levels, np.arange(len(levels))] = np.sqrt(p[levels])
+    return m
 
 
 def guard_band_population(rho):
@@ -405,6 +397,21 @@ def number_distribution(rho):
     """Fock populations Re(rho_nn), clipped at zero, of a ``rho`` that
     passes :func:`validate_density`."""
     return np.clip(np.real(np.diag(validate_density(rho))), 0.0, None)
+
+
+def _row_norms_sq(m):
+    """The squared row norms of ``M``: the populations of ``M M^dag``."""
+    rows = np.ascontiguousarray(m, dtype=complex).view(np.float64)
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def factor_populations(m):
+    """Fock populations of ``rho = M M^dag``, checked to sum to 1 within
+    ``_TRACE_TOL``; a Gram matrix needs no :func:`validate_density`."""
+    p = _row_norms_sq(m)
+    if abs(p.sum() - 1.0) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace {p.sum()} deviates from 1")
+    return p
 
 
 def _checked_populations(trace, populations):
@@ -425,8 +432,7 @@ def _checked_populations(trace, populations):
 def _checked_factor(m, out):
     """``out`` after a factor update ``m -> out``: its squared row norms
     (the populations) keep the trace ``|m|_F^2`` and pass the tail guard."""
-    rows = out.view(np.float64)
-    _checked_populations(np.vdot(m, m).real, np.einsum("ij,ij->i", rows, rows))
+    _checked_populations(np.vdot(m, m).real, _row_norms_sq(out))
     return out
 
 
@@ -491,12 +497,19 @@ def evolution_populations(u, rho):
     return populations
 
 
-def _apply_blocks(blocks, m):
-    """``U M``, checked, for the block-diagonal ``U`` of the ``blocks``."""
+def _apply_in_basis(basis, angle, scale, m):
+    """``U M``, checked, for ``U`` of :func:`_dense_operator`: ``P V
+    (exp(i scale lambda) * V^T (P^dag M))`` per block, two real x complex
+    products with ``W`` never formed; ``M`` itself at ``scale == 0``."""
     m = np.ascontiguousarray(m, dtype=complex)
+    if scale == 0:
+        return _checked_factor(m, m)
     out = np.empty_like(m)
-    for levels, u in blocks:
-        np.matmul(u, m[levels], out=out[levels])
+    for levels, lam, vt in basis:
+        p = np.exp(1j * angle * np.arange(len(m)))[levels, None]
+        y = (vt @ (p.conj() * m[levels]).view(np.float64)).view(complex)
+        y *= np.exp(1j * scale * lam)[:, None]
+        out[levels] = p * (vt.T @ y.view(np.float64)).view(complex)
     return _checked_factor(m, out)
 
 
@@ -504,14 +517,14 @@ def apply_squeeze(r, m, theta=0.0):
     """``S(r, theta) M``: the factor of ``S rho S^dag`` for ``rho = M
     M^dag``, in the cached :func:`squeeze_basis` without forming ``S``;
     raises like :func:`squeeze_operator_exact` and :func:`apply_unitary`."""
-    return _apply_blocks(_squeeze_blocks(r, theta, len(m)), m)
+    return _apply_in_basis(*_squeeze_step(r, theta, len(m)), m)
 
 
 def apply_displacement(alpha, m):
     """``D(alpha) M``, like :func:`apply_squeeze` in the cached
     :func:`displacement_basis`; raises like
     :func:`displacement_operator_exact`."""
-    return _apply_blocks(_displacement_blocks(alpha, len(m)), m)
+    return _apply_in_basis(*_displacement_step(alpha, len(m)), m)
 
 
 def apply_free_evolution(omega, tau, m):

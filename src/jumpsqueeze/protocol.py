@@ -140,14 +140,20 @@ class ProtocolResult:
 
     ``pair`` and ``displacement`` summarize the Gaussian action in the
     frame at the end of the protocol (displacement measured from the
-    current trap minimum); ``final_rho`` is the exact density matrix when
-    the Fock backend ran, else None.
+    current trap minimum); ``final_factor`` is the factor ``M`` of the
+    exact density matrix ``M M^dag`` when the Fock backend ran, else None.
     """
     pair: BogoliubovPair
     displacement: complex
     elapsed: float
     final_omega: float
-    final_rho: Optional[np.ndarray] = None
+    final_factor: Optional[np.ndarray] = None
+
+    @property
+    def final_rho(self):
+        """``M M^dag`` for ``M = final_factor``, formed on access, or None."""
+        m = self.final_factor
+        return None if m is None else fock.density_from_factor(m)
 
 
 def amplified_alpha(alpha_i, r):
@@ -184,9 +190,9 @@ def run_symplectic(protocol, params):
 def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
     """Run a protocol on the exact Fock backend.
 
-    The state is a factor ``M`` of ``rho = M M^dag``: each step multiplies
-    ``M`` from the left, and ``final_rho`` is formed once, by
-    :func:`fock.density_from_factor`, so no step re-Hermitizes.
+    The state is a ``d x K`` factor ``M`` of ``rho = M M^dag``
+    (:func:`fock.density_factor`): each step multiplies ``M`` from the
+    left, so no step re-Hermitizes; ``rho`` is formed only for ``final_rho``.
 
     Parameters
     ----------
@@ -201,7 +207,7 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
     Returns
     -------
     ProtocolResult
-        With ``final_rho`` set; the symplectic summary is accumulated
+        With ``final_factor`` set; the symplectic summary is accumulated
         alongside for cross-checks.
 
     Raises
@@ -234,11 +240,11 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
                 min_dim=exc.min_dim) from exc
     return ProtocolResult(symplectic.pair, symplectic.displacement,
                           symplectic.elapsed, protocol.final_omega,
-                          final_rho=fock.density_from_factor(m))
+                          final_factor=m)
 
 
-def implied_state(result, nbar0, dim=fock.DEFAULT_DIM):
-    """Reconstruct the Fock density matrix implied by a symplectic summary
+def implied_factor(result, nbar0, dim=fock.DEFAULT_DIM):
+    """A factor of the Fock density matrix implied by a symplectic summary
     acting on a thermal state.
 
     Valid for phase-rotation-invariant inputs (ground or thermal states):
@@ -251,7 +257,12 @@ def implied_state(result, nbar0, dim=fock.DEFAULT_DIM):
         m = fock.apply_squeeze(sp.r, m, sp.theta)
     if abs(result.displacement) > 0:
         m = fock.apply_displacement(result.displacement, m)
-    return fock.density_from_factor(m)
+    return m
+
+
+def implied_state(result, nbar0, dim=fock.DEFAULT_DIM):
+    """The density matrix of :func:`implied_factor`."""
+    return fock.density_from_factor(implied_factor(result, nbar0, dim))
 
 
 BUILTIN_PROTOCOLS = ("S_minus_2r", "S_plus_2r", "multi_jump",

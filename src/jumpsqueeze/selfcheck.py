@@ -16,7 +16,7 @@ from .errors import TruncationError
 from .lattice import bound_state_count, harmonic_frequency, mathieu_energy
 from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
                               squeezed_thermal_moments)
-from .protocol import (BUILTIN_PROTOCOLS, builtin_protocol, implied_state,
+from .protocol import (BUILTIN_PROTOCOLS, builtin_protocol, implied_factor,
                        run_fock)
 
 ELEMENT_TOL = 1e-8
@@ -113,8 +113,7 @@ def check_moments(amplitudes, nbar0, dim):
     worst = 0.0
     thermal = fock.density_factor(fock.thermal_density_matrix(nbar0, dim))
     for s in amplitudes:
-        probs = fock.number_distribution(
-            fock.density_from_factor(fock.apply_squeeze(s, thermal)))
+        probs = fock.factor_populations(fock.apply_squeeze(s, thermal))
         ns = np.arange(dim)
         mean = float(np.sum(probs * ns))
         sd = math.sqrt(float(np.sum(probs * ns * ns)) - mean * mean)
@@ -137,9 +136,9 @@ def check_backend_agreement(config):
     for proto in runs:
         initial = fock.thermal_density_matrix(nbar0, dim)
         result = run_fock(proto, trap, initial=initial, dim=dim)
-        implied = implied_state(result, nbar0, dim)
-        tvd = 0.5 * float(np.abs(fock.number_distribution(result.final_rho)
-                                 - fock.number_distribution(implied)).sum())
+        implied = implied_factor(result, nbar0, dim)
+        tvd = 0.5 * float(np.abs(fock.factor_populations(result.final_factor)
+                                 - fock.factor_populations(implied)).sum())
         worst = max(worst, tvd)
     return worst
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -384,6 +385,24 @@ class TestConfigHandling:
                 text = (out / "fig2d.csv").read_text(encoding="utf-8")
                 assert not re.search(r"\b(inf|nan)\b", text), text
 
+    @pytest.mark.parametrize("overrides", [
+        # v_max^2 is finite, v_max^2 / (2 sigma^2) overflows
+        {"v_max_m_s": 1.0864231637798209e152},
+        # the narrowest width squares to 0
+        {"squeeze_factor": 1e300},
+        {"v_max_m_s": 1e10, "squeeze_factor": 1e-150}])
+    def test_fig2d_exponent_overflow_exits_2(self, tmp_path, capsys,
+                                             overrides):
+        out = tmp_path / "out"
+        doc = {"figure_overrides": {"fig2d": overrides}}
+        assert main(["--config", write_json(tmp_path / "cfg.json", doc),
+                     "--out", str(out), "figure", "all"]) == 2
+        assert re.search(r"error: figure_overrides\.fig2d\.v_max_m_s: v_max\^2 "
+                         r"/ \(2 sigma\^2\) at the narrowest width sigma = "
+                         r"\S+ m/s: must be finite, got inf",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         # 2 * nbar0 overflows in the thermal broadening metadata
         {"figure_overrides": {"fig2d": {"nbar0": 1.7e308}}},
@@ -546,6 +565,20 @@ class TestProtocolRun:
         assert captured.out == ""
         assert f"-> {MAX_FOCK_DIM} (" in captured.err
         assert "numerical failure: step 2" in captured.err
+
+    def test_final_trace_drift_exits_3(self, proto_file, capsys,
+                                       monkeypatch):
+        # the final populations are checked against trace 1
+        def drifted(*args, **kwargs):
+            result = run_fock(*args, **kwargs)
+            return dataclasses.replace(
+                result, final_factor=result.final_factor * math.sqrt(1 + 2e-8))
+        monkeypatch.setattr(cli, "run_fock", drifted)
+        assert main(["protocol", "run", proto_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"numerical failure: density matrix trace "
+                         r"1\.0000000[12]\d* deviates from 1", captured.err)
 
     def test_envelope_violation_exits_3(self, tmp_path, capsys):
         # a squeeze amplitude beyond the supported range

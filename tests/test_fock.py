@@ -294,9 +294,13 @@ class TestCachedBases:
     # odd dimensions give parity blocks of unequal size
     @pytest.mark.parametrize("dim", [64, 161, 512])
     def test_structured_steps_match_dense(self, dim):
-        for make_state in FACTOR_STATES.values():
+        for name, make_state in FACTOR_STATES.items():
             rho = make_state(dim)
             m = fock.density_factor(rho)
+            # the steps run on a d x K factor
+            assert m.shape[0] == dim and m.shape[1] < dim
+            if name == "thermal":
+                assert m.shape[1] == 23
             assert np.max(np.abs(_gram(m) - rho)) < 1e-12
             for r, theta in ((0.45, 0.0), (-0.6, 0.0), (0.45, 1.1)):
                 dense = fock.apply_unitary(
@@ -390,6 +394,72 @@ class TestCachedBases:
             for _, _, vt in basis_fn(96):
                 eye = np.eye(len(vt))
                 assert np.max(np.abs(vt @ vt.T - eye)) < 1e-12
+
+
+class TestLowRankFactor:
+    """The rank cut of :func:`fock.density_factor`, the zero steps and
+    :func:`fock.factor_populations`."""
+
+    @pytest.mark.parametrize("nbar0, columns", [(0.0, 1), (0.15, 23),
+                                                (0.22, 27), (0.35, 35)])
+    def test_thermal_factor_keeps_the_weighted_levels(self, nbar0, columns):
+        dim = 512
+        p = np.diagonal(fock.thermal_density_matrix(nbar0, dim)).real
+        m = fock.density_factor(np.diag(p))
+        assert m.shape == (dim, columns)
+        # column k is sqrt(p_k) e_k: the levels 0 .. K-1, nothing else
+        expected = np.zeros((dim, columns))
+        expected[np.arange(columns), np.arange(columns)] = np.sqrt(p[:columns])
+        assert np.array_equal(m, expected)
+        assert p[columns:].sum() < 1e-19
+        assert np.all(p[columns:] <= 1e-20 * p[0])
+
+    def test_non_diagonal_state_drops_eigenvalues_below_the_cut(self):
+        # rank 3 in 32 levels, one weight far below the cut: eigh returns
+        # the other 29 or 30 eigenvalues as round-off of either sign
+        dim = 32
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, 3))
+                            + 1j * rng.normal(size=(dim, 3)))
+        rho = (q * [0.6, 0.4 - 1e-25, 1e-25]) @ q.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        lam = np.linalg.eigvalsh(rho)
+        kept = np.count_nonzero(lam > 1e-20 * lam.max())
+        m = fock.density_factor(rho)
+        assert m.shape == (dim, kept) and 2 <= kept < dim
+        assert np.min(np.einsum("ij,ij->j", m.conj(), m).real) > 1e-20 * 0.6
+        assert np.max(np.abs(_gram(m) - rho)) < 1e-15
+
+    @pytest.mark.parametrize("state", sorted(FACTOR_STATES))
+    def test_zero_steps_return_the_factor_unchanged(self, state):
+        m = fock.density_factor(FACTOR_STATES[state](64))
+        assert np.array_equal(fock.apply_squeeze(0.0, m, 0.7), m)
+        assert np.array_equal(fock.apply_squeeze(-0.0, m), m)
+        assert np.array_equal(fock.apply_displacement(0.0, m), m)
+        assert np.array_equal(fock.apply_displacement(0j, m), m)
+
+    @pytest.mark.parametrize("dim", [64, 161, 512])
+    def test_populations_match_the_density_matrix(self, dim):
+        for make_state in FACTOR_STATES.values():
+            m = fock.density_factor(make_state(dim))
+            for factor in (m, fock.apply_squeeze(0.45, m, 1.1),
+                           fock.apply_displacement(0.3 - 0.9j, m)):
+                got = fock.factor_populations(factor)
+                dense = fock.number_distribution(
+                    fock.density_from_factor(factor))
+                assert np.max(np.abs(got - dense)) < 1e-15
+
+    @pytest.mark.parametrize("drift, fails", [(2e-8, True), (-2e-8, True),
+                                              (5e-9, False)])
+    def test_populations_check_the_trace(self, drift, fails):
+        m = fock.density_factor(fock.thermal_density_matrix(0.22, 64))
+        m = m * math.sqrt(1.0 + drift)
+        if fails:
+            with pytest.raises(ValueError, match="trace .* deviates from 1"):
+                fock.factor_populations(m)
+        else:
+            assert fock.factor_populations(m).sum() == pytest.approx(
+                1.0 + drift, abs=1e-15)
 
 
 class TestEvolutionPopulations:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import distribution_tvd
 from jumpsqueeze import fock
 from jumpsqueeze.bogoliubov import squeeze_params_from_pair
+from jumpsqueeze.cli import main
 from jumpsqueeze.errors import ConfigError, TruncationError
 from jumpsqueeze.protocol import (BUILTIN_PROTOCOLS, FrequencyJump, Protocol,
                                   ShiftOrigin, UnshiftOrigin, Wait, _walk,
@@ -18,6 +19,7 @@ from jumpsqueeze.protocol import (BUILTIN_PROTOCOLS, FrequencyJump, Protocol,
                                   protocol_from_json, protocol_to_json,
                                   run_fock, run_symplectic, save_protocol)
 from jumpsqueeze.lattice import metres_per_alpha
+from jumpsqueeze.spectroscopy import sideband_populations
 
 DIM = 192
 
@@ -224,6 +226,24 @@ class TestRunFock:
             res = run_fock(proto, trap, initial=rho0, dim=dim)
             dense = self._dense_chain(proto, trap, rho0)
             assert np.max(np.abs(res.final_rho - dense)) < 1e-12
+
+    @pytest.mark.parametrize("name", BUILTIN_PROTOCOLS)
+    def test_cli_R_matches_dense_chain(self, tmp_path, capsys, config, name):
+        # R from the factor's row norms against the dense operators
+        trap = config.trap
+        proto = builtin_protocol(name, trap, n_jumps=3, alpha_i=0.5, r=0.35)
+        save_protocol(proto, tmp_path / "proto.json")
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"fock_dim": 128, "nbar0": 0.22}), encoding="utf-8")
+        assert main(["--config", str(tmp_path / "cfg.json"), "protocol",
+                     "run", str(tmp_path / "proto.json")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fock_dim"] == 128
+        dense = self._dense_chain(proto, trap,
+                                  fock.thermal_density_matrix(0.22, 128))
+        R = sideband_populations(fock.number_distribution(dense),
+                                 config.rabi).R
+        assert abs(doc["R"] - R) < 1e-14
 
     @pytest.mark.parametrize("dim", [64, 161, 512])
     def test_implied_state_matches_dense_operators(self, trap, dim):
