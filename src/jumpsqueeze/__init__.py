@@ -9,9 +9,8 @@ from .bogoliubov import (BogoliubovPair, SqueezeParams, bogoliubov_from_jump,
 from .errors import ConfigError, TruncationError
 from .fock import (DEFAULT_DIM, GUARD_BAND, TAIL_TOL, apply_unitary,
                    displacement_operator_exact, free_evolution_operator,
-                   ladder_operators, matrix_exponential, number_distribution,
-                   squeeze_operator_exact, thermal_density_matrix,
-                   thermal_truncation_deficit)
+                   matrix_exponential, number_distribution,
+                   squeeze_operator_exact, thermal_factor)
 from .lattice import (TrapParams, bound_state_count, coherent_alpha_from_shift,
                       energy_gap, ground_state_widths, harmonic_frequency,
                       mathieu_energy, shift_from_coherent_alpha)

@@ -70,8 +70,8 @@ def cmd_protocol_run(args, config):
         # grow the basis per the tail-mass advisory, capped at MAX_FOCK_DIM,
         # rather than truncate; give up once a run at the cap has failed
         try:
-            initial = fock.thermal_density_matrix(config.nbar0, dim)
-            result = run_fock(protocol, config.trap, initial=initial, dim=dim)
+            result = run_fock(protocol, config.trap,
+                              fock.thermal_factor(config.nbar0, dim))
             break
         except TruncationError as exc:
             advised = min(exc.min_dim or 2 * dim, MAX_FOCK_DIM)

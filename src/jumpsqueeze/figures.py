@@ -310,10 +310,9 @@ def _fig4a(spec):
     alpha_i, dim = c["alpha_i"], c["fock_dim"]
     proto = builtin_protocol("displaced_squeeze", trap,
                              alpha_i=alpha_i, r=c["two_r"] / 2.0)
-    initial = fock.thermal_density_matrix(c["nbar0"], dim)
-    prepared = run_fock(proto, trap, initial=initial, dim=dim).final_rho
+    prepared = run_fock(proto, trap, fock.thermal_factor(c["nbar0"], dim))
     populations = fock.evolution_populations(
-        fock.displacement_operator_exact(-alpha_i, dim), prepared)
+        fock.displacement_operator_exact(-alpha_i, dim), prepared.final_factor)
 
     def row(tau):
         return {"R": sideband_populations(populations(trap.omega1, tau),

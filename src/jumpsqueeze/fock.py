@@ -38,32 +38,11 @@ _UNITARY_TOL = 1e-8
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_TOL = -1e-10
 _TRACE_TOL = 1e-8
-_RANK_CUT = 1e-20  # relative weight below which density_factor drops a column
+_RANK_CUT = 1e-20  # relative weight below which a factor drops a column
 
 # Each cached basis of dimension D holds about 8 D^2 bytes of
 # eigenvectors (8 MB at the largest dimension, MAX_FOCK_DIM).
 _BASIS_CACHE_SIZE = 8
-
-
-def ladder_operators(dim):
-    """Annihilation and creation operators on a ``dim``-level basis.
-
-    Parameters
-    ----------
-    dim : int
-        Truncation dimension, at least 2.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        ``a`` with ``a[n-1, n] = sqrt(n)`` and its conjugate transpose.
-    """
-    if dim < 2:
-        raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a, a.conj().T
 
 
 def matrix_exponential(matrix):
@@ -190,7 +169,8 @@ def displacement_basis(dim):
 
 def _squeeze_step(r, theta, dim):
     """``(basis, angle, scale)`` of S(r, theta) on ``dim`` levels, after
-    the domain and tail-mass checks (raises like squeeze_operator_exact)."""
+    the domain and tail-mass checks (raises like squeeze_operator_exact);
+    the basis is None at ``r == 0``, where no step needs it."""
     if not math.isfinite(r) or not math.isfinite(theta):
         raise ValueError("squeeze parameters must be finite")
     if abs(r) > MAX_SQUEEZE_AMPLITUDE:
@@ -201,7 +181,7 @@ def _squeeze_step(r, theta, dim):
         raise TruncationError(
             f"dimension {dim} too small for squeeze amplitude |r| = {abs(r)}: "
             "tail-mass rule violated in the guard band", min_dim=needed)
-    return squeeze_basis(dim), 0.25 * math.pi + theta, r
+    return squeeze_basis(dim) if r else None, 0.25 * math.pi + theta, r
 
 
 def _displacement_step(alpha, dim):
@@ -218,24 +198,23 @@ def _displacement_step(alpha, dim):
         raise TruncationError(
             f"dimension {dim} too small for displacement |alpha| = {abs(alpha)}: "
             "tail-mass rule violated in the guard band", min_dim=needed)
-    return (displacement_basis(dim), 0.5 * math.pi + cmath.phase(alpha),
-            -abs(alpha))
+    return (displacement_basis(dim) if alpha else None,
+            0.5 * math.pi + cmath.phase(alpha), -abs(alpha))
 
 
-def _dense_operator(basis, angle, scale):
-    """The dense ``U = P W P^dag``: ``P = diag(exp(i angle n))`` and the
-    blocks ``W = V diag(exp(i scale lambda)) V^T`` of ``basis``, each from
-    one real x complex product on the float view (the real ``V`` is never
-    upcast).  At ``scale == 0`` every ``W`` is the identity, which ``V V^T``
-    would reproduce only to round-off."""
-    phases = np.exp(1j * angle * np.arange(sum(len(b[1]) for b in basis)))
-    out = np.zeros((len(phases),) * 2, dtype=complex)
+def _dense_operator(basis, angle, scale, dim):
+    """The dense ``U = P W P^dag`` on ``dim`` levels: ``P = diag(exp(i
+    angle n))`` and the blocks ``W = V diag(exp(i scale lambda)) V^T`` of
+    ``basis``, each from one real x complex product on the float view (the
+    real ``V`` is never upcast).  At ``scale == 0`` ``W`` is the identity,
+    which ``V V^T`` would reproduce only to round-off."""
+    phases = np.exp(1j * angle * np.arange(dim))
+    if scale == 0:
+        return phases[:, None] * np.eye(dim, dtype=complex) * phases.conj()
+    out = np.zeros((dim, dim), dtype=complex)
     for levels, lam, vt in basis:
-        if scale == 0:
-            w = np.eye(len(lam), dtype=complex)
-        else:
-            rows = np.exp(1j * scale * lam)[:, None] * vt
-            w = (vt.T @ rows.view(np.float64)).view(complex)
+        rows = np.exp(1j * scale * lam)[:, None] * vt
+        w = (vt.T @ rows.view(np.float64)).view(complex)
         p = phases[levels]
         out[levels, levels] = p[:, None] * w * p.conj()
     return out
@@ -265,7 +244,7 @@ def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
         If ``dim`` cannot hold the squeezed vacuum within the tail-mass
         rule; carries an advisory minimum dimension.
     """
-    return _dense_operator(*_squeeze_step(r, theta, dim))
+    return _dense_operator(*_squeeze_step(r, theta, dim), dim)
 
 
 def displacement_operator_exact(alpha, dim=DEFAULT_DIM):
@@ -277,7 +256,7 @@ def displacement_operator_exact(alpha, dim=DEFAULT_DIM):
     Raises like :func:`squeeze_operator_exact`, with the tail rule
     evaluated on the Poisson distribution of D(alpha)|0>.
     """
-    return _dense_operator(*_displacement_step(alpha, dim))
+    return _dense_operator(*_displacement_step(alpha, dim), dim)
 
 
 def _free_evolution_phases(omega, tau, dim):
@@ -297,26 +276,18 @@ def free_evolution_operator(omega, tau, dim=DEFAULT_DIM):
     return np.diag(_free_evolution_phases(omega, tau, dim))
 
 
-def thermal_density_matrix(nbar0, dim=DEFAULT_DIM):
-    """Thermal (geometric) density matrix with mean occupation ``nbar0``,
-    renormalized over the truncated basis.
-
-    The renormalization correction is available separately via
-    :func:`thermal_truncation_deficit`.
-    """
+def thermal_factor(nbar0, dim):
+    """The ``dim x K`` factor ``M`` (``rho = M M^dag``) of the thermal
+    (geometric) state with mean occupation ``nbar0``, renormalized over the
+    truncated basis: a column ``sqrt(p_n) e_n`` per level of weight ``p_n >
+    _RANK_CUT p_0``; the mass dropped is below ``dim _RANK_CUT``."""
     if nbar0 < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar0}")
     beta = nbar0 / (1.0 + nbar0)
     p = (1.0 - beta) * beta ** np.arange(dim)
     p /= p.sum()
-    return np.diag(p.astype(complex))
-
-
-def thermal_truncation_deficit(nbar0, dim=DEFAULT_DIM):
-    """Probability mass of the ideal thermal state beyond the truncation."""
-    if nbar0 < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {nbar0}")
-    return (nbar0 / (1.0 + nbar0)) ** dim
+    k = np.count_nonzero(p > _RANK_CUT * p[0])  # p falls with n
+    return np.eye(dim, k, dtype=complex) * np.sqrt(p[:k])
 
 
 def validate_unitary(u):
@@ -339,33 +310,27 @@ def validate_unitary(u):
 def validate_density(rho):
     """Check Hermiticity, positive semidefiniteness and unit trace.
 
-    No eigenvalue may lie below ``_EIGENVALUE_TOL``.  A diagonal ``rho``
-    (every thermal state) is checked exactly on its diagonal.  Otherwise
-    that holds exactly when the Hermitian part minus ``_EIGENVALUE_TOL``
-    times the identity has a Cholesky factorization; the eigenvalues are
-    computed only when it fails, to report the most negative one.
+    No eigenvalue may lie below ``_EIGENVALUE_TOL``, which holds exactly
+    when the Hermitian part minus ``_EIGENVALUE_TOL`` times the identity
+    has a Cholesky factorization; the eigenvalues are computed only when it
+    fails, to report the most negative one.
     """
     rho = np.asarray(rho)
-    p = np.diagonal(rho)
-    diagonal = (rho.shape == 2 * p.shape
-                and np.count_nonzero(rho) == np.count_nonzero(p))
-    adjoint = None if diagonal else rho.conj().T
-    herm = (2.0 * np.max(np.abs(p.imag)) if diagonal
-            else np.max(np.abs(rho - adjoint)))
+    adjoint = rho.conj().T
+    herm = np.max(np.abs(rho - adjoint))
     if herm > _HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} deviates from 1")
-    lowest = p.real.min() if diagonal else 0.0
-    if not diagonal:
-        shifted = 0.5 * (rho + adjoint)
-        del adjoint
-        shifted.flat[::len(rho) + 1] -= _EIGENVALUE_TOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            lowest = np.linalg.eigvalsh(shifted).min() + _EIGENVALUE_TOL
+    shifted = 0.5 * (rho + adjoint)
+    del adjoint
+    shifted.flat[::len(rho) + 1] -= _EIGENVALUE_TOL
+    lowest = 0.0
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(shifted).min() + _EIGENVALUE_TOL
     if lowest < _EIGENVALUE_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
@@ -373,24 +338,11 @@ def validate_density(rho):
 
 def density_factor(rho):
     """A ``d x K`` factor of ``rho`` after :func:`validate_density`: a column
-    ``sqrt(p) v`` per eigenpair (number states if diagonal, else by ``eigh``)
-    of weight ``p > _RANK_CUT max(p)``; the mass dropped is < d _RANK_CUT."""
-    rho = validate_density(np.asarray(rho, dtype=complex))
-    p = np.diagonal(rho).real
-    if np.count_nonzero(rho) > np.count_nonzero(p):
-        p, v = np.linalg.eigh(rho)
-        keep = p > _RANK_CUT * p.max()
-        return v[:, keep] * np.sqrt(p[keep])
-    (levels,) = np.nonzero(p > _RANK_CUT * p.max())
-    m = np.zeros((len(p), len(levels)), dtype=complex)
-    m[levels, np.arange(len(levels))] = np.sqrt(p[levels])
-    return m
-
-
-def guard_band_population(rho):
-    """Population in the top ``GUARD_BAND`` levels of a density matrix."""
-    diag = np.real(np.diag(rho))
-    return float(diag[len(diag) - GUARD_BAND:].sum())
+    ``sqrt(p) v`` per eigenpair of weight ``p > _RANK_CUT max(p)``; the mass
+    dropped is below ``d _RANK_CUT``."""
+    p, v = np.linalg.eigh(validate_density(np.asarray(rho, dtype=complex)))
+    keep = p > _RANK_CUT * p.max()
+    return v[:, keep] * np.sqrt(p[keep])
 
 
 def number_distribution(rho):
@@ -407,11 +359,12 @@ def _row_norms_sq(m):
 
 def factor_populations(m):
     """Fock populations of ``rho = M M^dag``, checked to sum to 1 within
-    ``_TRACE_TOL``; a Gram matrix needs no :func:`validate_density`."""
+    ``_TRACE_TOL`` and by the tail-mass guard of every step; a Gram matrix
+    needs no :func:`validate_density`."""
     p = _row_norms_sq(m)
     if abs(p.sum() - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {p.sum()} deviates from 1")
-    return p
+    return _checked_populations(1.0, p)
 
 
 def _checked_populations(trace, populations):
@@ -461,26 +414,25 @@ def apply_unitary(u, rho):
     return out
 
 
-def evolution_populations(u, rho):
+def evolution_populations(u, m):
     """``populations(omega, tau)``: the number distribution of ``u rho_tau
-    u^dag`` for ``rho_tau = F rho F^dag`` (``F`` of
+    u^dag`` for ``rho = M M^dag`` and ``rho_tau = F rho F^dag`` (``F`` of
     :func:`free_evolution_operator`), as ``Re sum_k w_k c[k] exp(-i k omega
     tau)`` with ``c[k, i] = sum_j u[i, j] rho[j, j-k] conj(u[i, j-k])``,
     ``w_0 = 1`` and ``w_k = 2`` (``rho`` is Hermitian, so the ``-k`` terms
     conjugate the ``k`` ones): one ``d^3`` build of ``c``, then ``d^2``
     work per call.
 
-    ``u`` and ``rho`` are checked once, by :func:`validate_unitary` and
-    :func:`validate_density`.  A congruence ``X -> M X M^dag`` keeps
-    Hermiticity and positive semidefiniteness for any ``M`` (Sylvester), so
-    every ``u rho_tau u^dag`` is a density matrix and needs no per-call
-    factorization.  Each call checks the populations' sum and tail like
-    :func:`apply_unitary` and that none is below the eigenvalue tolerance,
-    then clips them at zero.
+    ``u`` is checked once, by :func:`validate_unitary`.  ``rho`` and every
+    ``u rho_tau u^dag`` are Gram matrices ``A A^dag`` (``A = M``, ``u F
+    M``), Hermitian and positive semidefinite for any ``A`` (Sylvester), so
+    none needs a factorization.  Each call checks the populations' sum
+    against ``|M|_F^2`` and their tail like :func:`apply_unitary` and that
+    none is below the eigenvalue tolerance, then clips them at zero.
     """
     validate_unitary(u)
-    u, rho = _operator_and_state(u, rho)
-    trace, dim = np.trace(validate_density(rho)).real, len(rho)
+    u, rho = _operator_and_state(u, density_from_factor(m))
+    trace, dim = np.vdot(m, m).real, len(rho)
     ut = u.T.copy()
     ubar_t, product, c = ut.conj(), np.empty_like(ut), np.empty_like(ut)
     for k in range(dim):

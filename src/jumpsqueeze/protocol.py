@@ -149,12 +149,6 @@ class ProtocolResult:
     final_omega: float
     final_factor: Optional[np.ndarray] = None
 
-    @property
-    def final_rho(self):
-        """``M M^dag`` for ``M = final_factor``, formed on access, or None."""
-        m = self.final_factor
-        return None if m is None else fock.density_from_factor(m)
-
 
 def amplified_alpha(alpha_i, r):
     """Amplified displacement alpha_i * exp(2r) * exp(i pi) produced by
@@ -187,22 +181,22 @@ def run_symplectic(protocol, params):
     return ProtocolResult(pair, alpha, elapsed, protocol.final_omega)
 
 
-def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
+def run_fock(protocol, params, initial):
     """Run a protocol on the exact Fock backend.
 
-    The state is a ``d x K`` factor ``M`` of ``rho = M M^dag``
-    (:func:`fock.density_factor`): each step multiplies ``M`` from the
-    left, so no step re-Hermitizes; ``rho`` is formed only for ``final_rho``.
+    The state is a ``d x K`` factor ``M`` of ``rho = M M^dag``: each step
+    multiplies ``M`` from the left, so no step re-Hermitizes.
 
     Parameters
     ----------
     protocol : Protocol
     params : TrapParams
         Needed to convert trap shifts into displacement amplitudes.
-    initial : ndarray, optional
-        Initial density matrix (default: ground state).
-    dim : int
-        Truncation dimension.
+    initial : ndarray
+        The ``d x K`` factor of the initial state, e.g. from
+        :func:`fock.thermal_factor`; ``d`` is the truncation dimension.
+        It must have trace 1 and pass the tail-mass guard, like the state
+        after every step.
 
     Returns
     -------
@@ -213,16 +207,17 @@ def run_fock(protocol, params, initial=None, dim=fock.DEFAULT_DIM):
     Raises
     ------
     TruncationError
-        Naming the offending step, when any intermediate state trips the
-        tail-mass guard or an operator cannot be built at ``dim``.
+        Naming the initial state or the offending step, when a state trips
+        the tail-mass guard or an operator cannot be built at ``d``.
     """
-    if initial is None:
-        initial = fock.thermal_density_matrix(0.0, dim)
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (dim, dim):
-        raise ValueError(f"initial state shape {initial.shape} "
-                         f"does not match dim={dim}")
-    m = fock.density_factor(initial)
+    try:
+        fock.factor_populations(initial)
+    except TruncationError as exc:
+        raise TruncationError(f"initial state: {exc.base_message}",
+                              min_dim=exc.min_dim) from exc
+    except ValueError as exc:
+        raise ValueError(f"initial state: {exc}") from exc
+    m = initial
     symplectic = run_symplectic(protocol, params)
     for i, step, omega, shift in _walk(protocol):
         try:
@@ -252,7 +247,7 @@ def implied_factor(result, nbar0, dim=fock.DEFAULT_DIM):
     state is D(alpha) S(r_eff, theta_eff) rho_th S^dag D^dag.
     """
     sp = squeeze_params_from_pair(result.pair)
-    m = fock.density_factor(fock.thermal_density_matrix(nbar0, dim))
+    m = fock.thermal_factor(nbar0, dim)
     if sp.r > 0:
         m = fock.apply_squeeze(sp.r, m, sp.theta)
     if abs(result.displacement) > 0:

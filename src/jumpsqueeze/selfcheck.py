@@ -111,7 +111,7 @@ def check_displacement_elements(alpha_values, n_max=20):
 @_check("squeezed-thermal moments vs density-matrix oracle", MOMENT_TOL)
 def check_moments(amplitudes, nbar0, dim):
     worst = 0.0
-    thermal = fock.density_factor(fock.thermal_density_matrix(nbar0, dim))
+    thermal = fock.thermal_factor(nbar0, dim)
     for s in amplitudes:
         probs = fock.factor_populations(fock.apply_squeeze(s, thermal))
         ns = np.arange(dim)
@@ -134,8 +134,7 @@ def check_backend_agreement(config):
     runs = [builtin_protocol(name, trap, n_jumps=2, alpha_i=alpha_i, r=r)
             for r in amplitudes for name in BUILTIN_PROTOCOLS]
     for proto in runs:
-        initial = fock.thermal_density_matrix(nbar0, dim)
-        result = run_fock(proto, trap, initial=initial, dim=dim)
+        result = run_fock(proto, trap, fock.thermal_factor(nbar0, dim))
         implied = implied_factor(result, nbar0, dim)
         tvd = 0.5 * float(np.abs(fock.factor_populations(result.final_factor)
                                  - fock.factor_populations(implied)).sum())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import distribution_tvd
+from dense_reference import thermal_density_matrix
 from jumpsqueeze import fock
 from jumpsqueeze._mathieu import bound_level_count
 from jumpsqueeze.bogoliubov import (BogoliubovPair, bogoliubov_from_jump,
@@ -190,8 +191,7 @@ def test_criterion_9_moments_and_db():
         for s in (0.5, 1.0, 1.6):
             dim = 256 if s <= 1.0 else 384
             op = fock.squeeze_operator_exact(s, 0.0, dim)
-            rho = fock.apply_unitary(op,
-                                     fock.thermal_density_matrix(nbar0, dim))
+            rho = fock.apply_unitary(op, thermal_density_matrix(nbar0, dim))
             probs = fock.number_distribution(rho)
             ns = np.arange(dim)
             mean = float(np.sum(probs * ns))
@@ -226,18 +226,18 @@ def test_criterion_10_property_suite(config, tmp_path):
     ]
     for proto in protos:
         for nbar0 in (0.0, 0.22):
-            rho0 = fock.thermal_density_matrix(nbar0, dim)
-            res = run_fock(proto, trap, initial=rho0, dim=dim)
+            res = run_fock(proto, trap, fock.thermal_factor(nbar0, dim))
             implied = implied_state(res, nbar0, dim)
             worst_tvd = max(worst_tvd, distribution_tvd(
-                fock.number_distribution(res.final_rho),
+                fock.number_distribution(
+                    fock.density_from_factor(res.final_factor)),
                 fock.number_distribution(implied)))
     backend_ok = worst_tvd < 1e-6
 
     # parity of squeezed vacuum
     s_op = fock.squeeze_operator_exact(0.7, 0.0, 128)
     probs = fock.number_distribution(
-        fock.apply_unitary(s_op, fock.thermal_density_matrix(0.0, 128)))
+        fock.apply_unitary(s_op, thermal_density_matrix(0.0, 128)))
     parity = float(np.max(probs[1::2]))
     parity_ok = parity < 1e-12
 

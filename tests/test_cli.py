@@ -225,6 +225,30 @@ class TestFigureCommand:
         line = bench_ab._summary_line("protocol_batch", "rss_mb", rss)
         assert line.startswith("protocol_batch rss_mb: parent 40 change 44.8")
         assert "ratio 1.120" in line and "within_bound False" in line
+        assert not any(row["unresolved"] for row in (wall, rss, rate))
+        assert "unresolved False" in line
+
+    def test_bench_ab_summary_reports_unresolved(self):
+        # a spread wider than the bound leaves a metric unresolved unless
+        # every change run beats every parent run
+        bench_ab = _benchmark_module("bench_ab", TOOLS)
+        wide = [1.0, 0.6, 1.4, 0.8, 1.2]
+
+        def summary(parent, change):
+            runs = {side: [{"result": {"metrics": {"s": {"value": v}}}}
+                           for v in values]
+                    for side, values in (("parent", parent),
+                                         ("change", change))}
+            return bench_ab._summary(runs, {"s": ("lower", 0.25)})["s"]
+        overlapping = summary(wide, [v - 0.1 for v in wide])
+        assert overlapping["unresolved"] and overlapping["within_bound"]
+        assert "unresolved True" in bench_ab._summary_line(
+            "figure_all", "s", overlapping)
+        # the change's spread alone is enough
+        assert summary([1.0] * 5, [v - 0.1 for v in wide])["unresolved"]
+        assert not summary(wide, [v - 1.0 for v in wide])["unresolved"]
+        assert not summary([1.0, 1.01, 0.99, 1.0, 1.02],
+                           [1.1, 1.09, 1.12, 1.1, 1.11])["unresolved"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("JUMPSQUEEZE_OUT", str(tmp_path / "envdir"))
@@ -473,6 +497,23 @@ class TestProtocolRun:
         assert doc["r_eff"] == 0.0
         assert doc["R"] == pytest.approx(0.22 / 1.22, abs=1e-6)
 
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_empty_protocol_grows_a_small_dim(self, tmp_path, capsys, dim):
+        # the initial state meets the tail guard: at 16 levels 1.1e-6 of
+        # the thermal state lies in the guard band, at 2 levels all of it
+        path = write_json(tmp_path / "empty.json",
+                          {"omega_initial_hz": 93e3, "steps": []})
+        runs = []
+        for fock_dim in (dim, 64):
+            cfg = write_json(tmp_path / "cfg.json", {"fock_dim": fock_dim})
+            assert main(["--config", cfg, "protocol", "run", path]) == 0
+            runs.append(capsys.readouterr())
+        grown, reference = runs
+        assert f"note: raising fock_dim {dim} -> " in grown.err
+        assert "(initial state: state carries" in grown.err
+        assert reference.err == ""
+        assert json.loads(grown.out)["R"] == json.loads(reference.out)["R"]
+
     def test_amplify_displacement(self, tmp_path, capsys, config):
         proto = builtin_protocol("amplify", config.trap,
                                  alpha_i=0.67, r=1.23 / 2)
@@ -698,10 +739,10 @@ def test_fig4a_matches_dense_route(tmp_path, monkeypatch):
     config = load_config(cfg)
     trap, rabi = config.trap, config.rabi
     c = {**DEFAULT_CONSTANTS["fig4a"], **over}
-    prepared = run_fock(
+    prepared = fock.density_from_factor(run_fock(
         builtin_protocol("displaced_squeeze", trap, alpha_i=c["alpha_i"],
-                         r=c["two_r"] / 2.0), trap, dim=256,
-        initial=fock.thermal_density_matrix(c["nbar0"], 256)).final_rho
+                         r=c["two_r"] / 2.0), trap,
+        fock.thermal_factor(c["nbar0"], 256)).final_factor)
     undo = fock.displacement_operator_exact(-c["alpha_i"], 256)
     taus = table.columns["tau_s"]
     assert len(taus) == 38

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import (guard_band_population, ladder_operators,
+                             thermal_density_matrix,
+                             thermal_truncation_deficit)
 from jumpsqueeze import fock
 from jumpsqueeze.errors import TruncationError
 
 
 class TestLadderOperators:
     def test_matrix_elements_d3(self):
-        a, adag = fock.ladder_operators(3)
+        a, adag = ladder_operators(3)
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 1] = 1.0
         expected[1, 2] = math.sqrt(2)
@@ -21,11 +24,11 @@ class TestLadderOperators:
         np.testing.assert_allclose(adag, expected.conj().T, atol=0)
 
     def test_number_operator(self):
-        a, adag = fock.ladder_operators(3)
+        a, adag = ladder_operators(3)
         np.testing.assert_allclose(adag @ a, np.diag([0.0, 1.0, 2.0]), atol=1e-15)
 
     def test_truncated_commutator(self):
-        a, adag = fock.ladder_operators(64)
+        a, adag = ladder_operators(64)
         comm = a @ adag - adag @ a
         np.testing.assert_allclose(comm[:63, :63], np.eye(63), atol=1e-13)
         # the top row carries the truncation artifact
@@ -33,7 +36,7 @@ class TestLadderOperators:
 
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
-            fock.ladder_operators(1)
+            ladder_operators(1)
 
 
 class TestMatrixExponential:
@@ -155,38 +158,50 @@ class TestFreeEvolution:
 
 class TestThermalState:
     def test_zero_temperature_is_ground(self):
-        rho = fock.thermal_density_matrix(0.0, 16)
+        rho = thermal_density_matrix(0.0, 16)
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=0)
 
     def test_ground_population(self):
-        rho = fock.thermal_density_matrix(0.22, 64)
+        rho = thermal_density_matrix(0.22, 64)
         assert rho[0, 0].real == pytest.approx(1.0 / 1.22, abs=1e-4)
 
     def test_truncation_deficit_negligible(self):
-        assert fock.thermal_truncation_deficit(0.22, 64) < 1e-30
+        assert thermal_truncation_deficit(0.22, 64) < 1e-30
 
     def test_geometric_law(self):
-        rho = fock.thermal_density_matrix(1.0, 64)
+        rho = thermal_density_matrix(1.0, 64)
         probs = fock.number_distribution(rho)
         np.testing.assert_allclose(probs[:20], 0.5 ** (np.arange(20) + 1),
                                    rtol=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            fock.thermal_density_matrix(-0.1, 16)
+            thermal_density_matrix(-0.1, 16)
+
+    @pytest.mark.parametrize("nbar0, dim", [(0.0, 2), (0.22, 16), (1.0, 64),
+                                            (0.15, 161)])
+    def test_factor_squares_to_the_dense_state(self, nbar0, dim):
+        m = fock.thermal_factor(nbar0, dim)
+        assert m.dtype == complex
+        assert np.max(np.abs(m @ m.conj().T
+                             - thermal_density_matrix(nbar0, dim))) < 1e-15
+
+    def test_factor_rejects_negative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fock.thermal_factor(-0.1, 16)
 
 
 class TestNumberDistribution:
     def test_ground_state(self):
-        rho = fock.thermal_density_matrix(0.0, 8)
+        rho = thermal_density_matrix(0.0, 8)
         probs = fock.number_distribution(rho)
         np.testing.assert_allclose(probs, [1.0] + [0.0] * 7, atol=0)
 
     def test_squeezed_vacuum_parity(self):
         s = fock.squeeze_operator_exact(0.5, 0.0, 64)
-        rho = fock.apply_unitary(s, fock.thermal_density_matrix(0.0, 64))
+        rho = fock.apply_unitary(s, thermal_density_matrix(0.0, 64))
         probs = fock.number_distribution(rho)
         assert np.max(probs[1::2]) < 1e-12
 
@@ -194,7 +209,7 @@ class TestNumberDistribution:
         # squeezing only couples n to n +/- 2, so odd and even sectors
         # keep their thermal weights
         nbar = 0.3
-        rho0 = fock.thermal_density_matrix(nbar, 96)
+        rho0 = thermal_density_matrix(nbar, 96)
         odd_before = fock.number_distribution(rho0)[1::2].sum()
         s = fock.squeeze_operator_exact(0.6, 0.0, 96)
         probs = fock.number_distribution(fock.apply_unitary(s, rho0))
@@ -208,18 +223,18 @@ class TestNumberDistribution:
 
 class TestApplyUnitary:
     def test_identity_preserves(self):
-        rho = fock.thermal_density_matrix(0.5, 32)
+        rho = thermal_density_matrix(0.5, 32)
         out = fock.apply_unitary(np.eye(32, dtype=complex), rho)
         np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_trace_preserved(self):
-        rho = fock.thermal_density_matrix(0.4, 64)
+        rho = thermal_density_matrix(0.4, 64)
         u = fock.squeeze_operator_exact(0.4, 0.3, 64)
         out = fock.apply_unitary(u, rho)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
     def test_squeeze_then_inverse_recovers(self):
-        rho = fock.thermal_density_matrix(0.22, 64)
+        rho = thermal_density_matrix(0.22, 64)
         s = fock.squeeze_operator_exact(0.5, 0.0, 64)
         s_inv = fock.squeeze_operator_exact(-0.5, 0.0, 64)
         out = fock.apply_unitary(s_inv, fock.apply_unitary(s, rho))
@@ -227,23 +242,23 @@ class TestApplyUnitary:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fock.apply_unitary(np.eye(8), fock.thermal_density_matrix(0.1, 16))
+            fock.apply_unitary(np.eye(8), thermal_density_matrix(0.1, 16))
 
     def test_tail_guard_rejects_leaky_state(self):
         # the operator itself fits at this dimension (vacuum tail rule),
         # but acting on a hot thermal state overfills the guard band
-        rho = fock.thermal_density_matrix(1.5, 64)
+        rho = thermal_density_matrix(1.5, 64)
         s = fock.squeeze_operator_exact(1.0, 0.0, 64)
         with pytest.raises(TruncationError) as err:
             fock.apply_unitary(s, rho)
         assert "tail-mass guard" in str(err.value)
 
     def test_structured_step_has_the_same_tail_guard(self):
-        rho = fock.thermal_density_matrix(1.5, 64)
+        rho = thermal_density_matrix(1.5, 64)
         with pytest.raises(TruncationError) as dense:
             fock.apply_unitary(fock.squeeze_operator_exact(1.0, 0.0, 64), rho)
         with pytest.raises(TruncationError) as structured:
-            fock.apply_squeeze(1.0, fock.density_factor(rho))
+            fock.apply_squeeze(1.0, fock.thermal_factor(1.5, 64))
         assert str(structured.value) == str(dense.value)
         assert structured.value.min_dim == dense.value.min_dim > 64
 
@@ -252,7 +267,7 @@ def _coherent_mixture(dim):
     """A thermal state displaced off the real axis: coherences between
     all levels, in both parity sectors."""
     return fock.apply_unitary(fock.displacement_operator_exact(0.5 + 0.2j, dim),
-                              fock.thermal_density_matrix(0.3, dim))
+                              thermal_density_matrix(0.3, dim))
 
 
 def _gram(m):
@@ -260,8 +275,11 @@ def _gram(m):
 
 
 # thermal 0.15 at 512 has normal, subnormal and exactly zero populations
-FACTOR_STATES = {"thermal": lambda dim: fock.thermal_density_matrix(0.15, dim),
+FACTOR_STATES = {"thermal": partial(thermal_density_matrix, 0.15),
                  "mixture": _coherent_mixture}
+# their factors: the thermal one built as such, the mixture's by eigh
+FACTORS = {"thermal": partial(fock.thermal_factor, 0.15),
+           "mixture": lambda dim: fock.density_factor(_coherent_mixture(dim))}
 
 
 class TestCachedBases:
@@ -275,7 +293,7 @@ class TestCachedBases:
     @pytest.mark.parametrize("r, theta", [(0.3, 0.0), (-0.4, 0.3),
                                           (0.9, -1.2), (-1.0, 2.5)])
     def test_squeeze_matches_matrix_exponential(self, dim, r, theta):
-        a, adag = fock.ladder_operators(dim)
+        a, adag = ladder_operators(dim)
         xi = r * np.exp(2j * theta)
         reference = fock.matrix_exponential(
             0.5 * (np.conj(xi) * (a @ a) - xi * (adag @ adag)))
@@ -286,7 +304,7 @@ class TestCachedBases:
     @pytest.mark.parametrize("alpha", [0.7 * np.exp(0.4j), -1.3, 2.5j,
                                        -1.1 - 2.0j])
     def test_displacement_matches_matrix_exponential(self, dim, alpha):
-        a, adag = fock.ladder_operators(dim)
+        a, adag = ladder_operators(dim)
         reference = fock.matrix_exponential(alpha * adag - np.conj(alpha) * a)
         got = fock.displacement_operator_exact(alpha, dim)
         assert np.max(np.abs(got - reference)) < 1e-12
@@ -296,7 +314,7 @@ class TestCachedBases:
     def test_structured_steps_match_dense(self, dim):
         for name, make_state in FACTOR_STATES.items():
             rho = make_state(dim)
-            m = fock.density_factor(rho)
+            m = FACTORS[name](dim)
             # the steps run on a d x K factor
             assert m.shape[0] == dim and m.shape[1] < dim
             if name == "thermal":
@@ -324,7 +342,7 @@ class TestCachedBases:
         tiny = np.finfo(float).tiny
         assert np.any((p > 0) & (p < tiny)) and np.any(p == 0)
         # the factor's entries sqrt(p) stay normal wherever p is not zero
-        root = np.diag(fock.density_factor(np.diag(p))).real
+        root = np.diag(FACTORS["thermal"](512)).real
         assert np.all((root == 0) | (root > 1e-162))
 
     @pytest.mark.parametrize("state", sorted(FACTOR_STATES))
@@ -332,7 +350,7 @@ class TestCachedBases:
         dim = 512
         rho = FACTOR_STATES[state](dim)
         # the steps take a factor in either memory order
-        m = np.asfortranarray(fock.density_factor(rho))
+        m = np.asfortranarray(FACTORS[state](dim))
         omega, tau = 2 * math.pi * 93e3, 3.7e-6
         for factor_step, operator in (
                 (partial(fock.apply_squeeze, 0.7),
@@ -353,8 +371,7 @@ class TestCachedBases:
         with pytest.raises((ValueError, TruncationError)) as dense:
             fock.squeeze_operator_exact(amplitude, 0.0, dim)
         with pytest.raises(dense.type) as structured:
-            fock.apply_squeeze(amplitude, fock.density_factor(
-                fock.thermal_density_matrix(0.0, dim)))
+            fock.apply_squeeze(amplitude, fock.thermal_factor(0.0, dim))
         assert str(structured.value) == str(dense.value)
         assert getattr(structured.value, "min_dim", None) == getattr(
             dense.value, "min_dim", None)
@@ -366,8 +383,7 @@ class TestCachedBases:
         with pytest.raises((ValueError, TruncationError)) as dense:
             fock.displacement_operator_exact(alpha, dim)
         with pytest.raises(dense.type) as structured:
-            fock.apply_displacement(alpha, fock.density_factor(
-                fock.thermal_density_matrix(0.0, dim)))
+            fock.apply_displacement(alpha, fock.thermal_factor(0.0, dim))
         assert str(structured.value) == str(dense.value)
         assert getattr(structured.value, "min_dim", None) == getattr(
             dense.value, "min_dim", None)
@@ -377,8 +393,7 @@ class TestCachedBases:
         # would otherwise take minutes for an amplitude this large
         started = time.perf_counter()
         with pytest.raises(ValueError, match="exceeds supported amplitude"):
-            fock.apply_squeeze(7.2, fock.density_factor(
-                fock.thermal_density_matrix(0.0, 64)))
+            fock.apply_squeeze(7.2, fock.thermal_factor(0.0, 64))
         assert time.perf_counter() - started < 1.0
 
     def test_caches_are_bounded_and_read_only(self):
@@ -397,15 +412,16 @@ class TestCachedBases:
 
 
 class TestLowRankFactor:
-    """The rank cut of :func:`fock.density_factor`, the zero steps and
+    """The rank cut of :func:`fock.thermal_factor` and
+    :func:`fock.density_factor`, the zero steps and
     :func:`fock.factor_populations`."""
 
     @pytest.mark.parametrize("nbar0, columns", [(0.0, 1), (0.15, 23),
                                                 (0.22, 27), (0.35, 35)])
     def test_thermal_factor_keeps_the_weighted_levels(self, nbar0, columns):
         dim = 512
-        p = np.diagonal(fock.thermal_density_matrix(nbar0, dim)).real
-        m = fock.density_factor(np.diag(p))
+        p = np.diagonal(thermal_density_matrix(nbar0, dim)).real
+        m = fock.thermal_factor(nbar0, dim)
         assert m.shape == (dim, columns)
         # column k is sqrt(p_k) e_k: the levels 0 .. K-1, nothing else
         expected = np.zeros((dim, columns))
@@ -432,16 +448,27 @@ class TestLowRankFactor:
 
     @pytest.mark.parametrize("state", sorted(FACTOR_STATES))
     def test_zero_steps_return_the_factor_unchanged(self, state):
-        m = fock.density_factor(FACTOR_STATES[state](64))
+        m = FACTORS[state](64)
         assert np.array_equal(fock.apply_squeeze(0.0, m, 0.7), m)
         assert np.array_equal(fock.apply_squeeze(-0.0, m), m)
         assert np.array_equal(fock.apply_displacement(0.0, m), m)
         assert np.array_equal(fock.apply_displacement(0j, m), m)
 
+    def test_zero_steps_fetch_no_basis(self):
+        # a zero amplitude needs no eigenbasis, cold or cached
+        lookups = [basis_fn.cache_info()[:2] for basis_fn in (
+            fock.squeeze_basis, fock.displacement_basis)]
+        m = fock.thermal_factor(0.22, 1000)
+        assert fock.apply_squeeze(0.0, m) is not None
+        assert fock.apply_displacement(0j, m) is not None
+        assert fock.squeeze_operator_exact(0.0, dim=992).shape == (992, 992)
+        assert [basis_fn.cache_info()[:2] for basis_fn in (
+            fock.squeeze_basis, fock.displacement_basis)] == lookups
+
     @pytest.mark.parametrize("dim", [64, 161, 512])
     def test_populations_match_the_density_matrix(self, dim):
-        for make_state in FACTOR_STATES.values():
-            m = fock.density_factor(make_state(dim))
+        for make_factor in FACTORS.values():
+            m = make_factor(dim)
             for factor in (m, fock.apply_squeeze(0.45, m, 1.1),
                            fock.apply_displacement(0.3 - 0.9j, m)):
                 got = fock.factor_populations(factor)
@@ -452,8 +479,7 @@ class TestLowRankFactor:
     @pytest.mark.parametrize("drift, fails", [(2e-8, True), (-2e-8, True),
                                               (5e-9, False)])
     def test_populations_check_the_trace(self, drift, fails):
-        m = fock.density_factor(fock.thermal_density_matrix(0.22, 64))
-        m = m * math.sqrt(1.0 + drift)
+        m = fock.thermal_factor(0.22, 64) * math.sqrt(1.0 + drift)
         if fails:
             with pytest.raises(ValueError, match="trace .* deviates from 1"):
                 fock.factor_populations(m)
@@ -482,34 +508,29 @@ class TestEvolutionPopulations:
             fock.apply_unitary(fock.squeeze_operator_exact(0.5, 0.0, dim),
                                _coherent_mixture(dim)))
         u = fock.displacement_operator_exact(-0.6 + 0.1j, dim)
-        populations = fock.evolution_populations(u, rho)
+        populations = fock.evolution_populations(u, fock.density_factor(rho))
         period = 2 * math.pi / self.OMEGA
         # at zero, off the figure grid, and at omega tau ~ 2 pi 10^3
         for tau in (0.0, 0.37 * period, 1000.12 * period):
             got = populations(self.OMEGA, tau)
             assert np.max(np.abs(got - self._dense(u, rho, tau))) < 1e-12
 
-    def test_rejects_negative_eigenvalue(self):
-        rho = TestValidateDensity._with_lowest_eigenvalue(-1e-9)
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            fock.evolution_populations(np.eye(len(rho)), rho)
-
     def test_rejects_non_unitary_operator(self):
         u = 1.001 * fock.displacement_operator_exact(0.5, 64)
         with pytest.raises(ValueError, match="not unitary"):
-            fock.evolution_populations(u, fock.thermal_density_matrix(0.3, 64))
+            fock.evolution_populations(u, fock.thermal_factor(0.3, 64))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fock.evolution_populations(
-                np.eye(8), fock.thermal_density_matrix(0.1, 16))
+            fock.evolution_populations(np.eye(8), fock.thermal_factor(0.1, 16))
 
     def test_tail_guard_matches_dense_route(self):
         # the state fits, but displacing it further fills the guard band
         u = fock.displacement_operator_exact(3.0, 64)
-        rho = fock.apply_unitary(u, fock.thermal_density_matrix(0.3, 64))
-        assert fock.guard_band_population(rho) < fock.TAIL_TOL
-        populations = fock.evolution_populations(u, rho)
+        rho = fock.apply_unitary(u, thermal_density_matrix(0.3, 64))
+        assert guard_band_population(rho) < fock.TAIL_TOL
+        populations = fock.evolution_populations(
+            u, fock.apply_displacement(3.0, fock.thermal_factor(0.3, 64)))
         with pytest.raises(TruncationError) as dense:
             self._dense(u, rho, 0.0)
         with pytest.raises(TruncationError) as series:
@@ -541,8 +562,7 @@ class TestValidateDensity:
             fock.validate_density(rho)
 
     def test_accepts_squeezed_thermal_state_at_dim_512(self):
-        rho = _gram(fock.apply_squeeze(1.2, fock.density_factor(
-            fock.thermal_density_matrix(0.5, 512))))
+        rho = _gram(fock.apply_squeeze(1.2, fock.thermal_factor(0.5, 512)))
         assert fock.validate_density(rho) is rho
 
     def test_rejects_non_square_diagonal(self):
@@ -551,7 +571,7 @@ class TestValidateDensity:
 
     @staticmethod
     def _diagonal(lowest=0.0, imag=0.0, scale=1.0, dim=32):
-        p = fock.thermal_density_matrix(0.4, dim).diagonal().copy()
+        p = thermal_density_matrix(0.4, dim).diagonal().copy()
         p[5] = lowest
         p *= scale / p.sum()
         p[3] += 1j * imag
@@ -577,8 +597,8 @@ class TestValidateDensity:
         assert str(factored.value) == str(validated.value)
 
     def test_diagonal_check_agrees_with_cholesky_route(self):
-        # a nonzero entry far off the diagonal sends a state down the
-        # Cholesky route without changing its checks' outcome
+        # a diagonal state meets the checks of one with a coherence: a
+        # nonzero entry far off the diagonal changes no outcome
         for fault in ({"lowest": -1e-9}, {"lowest": -1e-11}, {},
                       {"imag": 1e-9}, {"imag": 4e-13}, {"scale": 1.001}):
             rho = self._diagonal(**fault)
@@ -600,12 +620,12 @@ class TestTailGuards:
         dim = 64
         cases = [
             fock.apply_unitary(fock.squeeze_operator_exact(0.7, 0.0, dim),
-                               fock.thermal_density_matrix(0.22, dim)),
+                               thermal_density_matrix(0.22, dim)),
             fock.apply_unitary(fock.displacement_operator_exact(3.0, dim),
-                               fock.thermal_density_matrix(0.0, dim)),
+                               thermal_density_matrix(0.0, dim)),
         ]
         for rho in cases:
-            assert fock.guard_band_population(rho) < fock.TAIL_TOL
+            assert guard_band_population(rho) < fock.TAIL_TOL
 
 
 def _reference_squeeze_dim(r):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_elements
+from dense_reference import thermal_density_matrix
 from jumpsqueeze import fock
 from jumpsqueeze.constants import MAX_INDEX
 from jumpsqueeze.matrix_elements import (displacement_block_sq,
@@ -232,7 +233,7 @@ class TestSqueezedThermalMoments:
                  (0.35, 0.9, 128)]
         for nbar0, s, dim in cases:
             op = fock.squeeze_operator_exact(s, 0.0, dim)
-            rho = fock.apply_unitary(op, fock.thermal_density_matrix(nbar0, dim))
+            rho = fock.apply_unitary(op, thermal_density_matrix(nbar0, dim))
             probs = fock.number_distribution(rho)
             ns = np.arange(dim)
             mean = float(np.sum(probs * ns))
@@ -249,7 +250,7 @@ class TestSqueezedThermalMoments:
 class TestDistributionSignSymmetry:
     def test_squeezed_thermal_populations_ignore_sign(self):
         dim = 128
-        rho0 = fock.thermal_density_matrix(0.3, dim)
+        rho0 = thermal_density_matrix(0.3, dim)
         plus = fock.squeeze_operator_exact(0.8, 0.0, dim)
         minus = fock.squeeze_operator_exact(-0.8, 0.0, dim)
         p_plus = fock.number_distribution(fock.apply_unitary(plus, rho0))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distribution_tvd
+from dense_reference import thermal_density_matrix
 from jumpsqueeze import fock
 from jumpsqueeze.bogoliubov import squeeze_params_from_pair
 from jumpsqueeze.cli import main
@@ -131,33 +132,33 @@ class TestAmplifiedAlpha:
 class TestRunFock:
     def test_jump_and_return_is_identity(self, trap):
         steps = (FrequencyJump(trap.omega2), FrequencyJump(trap.omega1))
-        rho0 = fock.thermal_density_matrix(0.22, DIM)
         res = run_fock(Protocol(trap.omega1, steps), trap,
-                       initial=rho0, dim=DIM)
-        assert np.max(np.abs(res.final_rho - rho0)) < 1e-8
+                       fock.thermal_factor(0.22, DIM))
+        assert np.max(np.abs(fock.density_from_factor(res.final_factor)
+                             - thermal_density_matrix(0.22, DIM))) < 1e-8
 
     def test_double_jump_matches_direct_squeeze(self, trap):
         r = 0.5 * math.log(trap.omega1 / trap.omega2)
         proto = builtin_protocol("S_minus_2r", trap)
-        res = run_fock(proto, trap, dim=DIM)
-        probs = fock.number_distribution(res.final_rho)
+        res = run_fock(proto, trap, fock.thermal_factor(0.0, DIM))
+        probs = fock.factor_populations(res.final_factor)
         direct = fock.squeeze_operator_exact(2 * r, 0.0, DIM)
         rho_direct = fock.apply_unitary(direct,
-                                        fock.thermal_density_matrix(0.0, DIM))
+                                        thermal_density_matrix(0.0, DIM))
         assert distribution_tvd(probs,
                                 fock.number_distribution(rho_direct)) < 1e-10
 
     def test_shift_unshift_identity(self, trap):
         steps = (ShiftOrigin(20e-9), UnshiftOrigin())
-        rho0 = fock.thermal_density_matrix(0.1, 96)
         res = run_fock(Protocol(trap.omega1, steps), trap,
-                       initial=rho0, dim=96)
-        assert np.max(np.abs(res.final_rho - rho0)) < 1e-8
+                       fock.thermal_factor(0.1, 96))
+        assert np.max(np.abs(fock.density_from_factor(res.final_factor)
+                             - thermal_density_matrix(0.1, 96))) < 1e-8
 
     def test_truncation_names_offending_step(self, trap):
         proto = builtin_protocol("S_minus_2r", trap)  # 2r = 1.4
         with pytest.raises(TruncationError) as err:
-            run_fock(proto, trap, dim=64)
+            run_fock(proto, trap, fock.thermal_factor(0.0, 64))
         assert "step" in str(err.value)
 
     def test_backend_agreement_builtins(self, trap, config):
@@ -172,10 +173,9 @@ class TestRunFock:
             shift_jump_unshift(trap),
         ]
         for proto in protos:
-            rho0 = fock.thermal_density_matrix(nbar0, DIM)
-            res = run_fock(proto, trap, initial=rho0, dim=DIM)
+            res = run_fock(proto, trap, fock.thermal_factor(nbar0, DIM))
             implied = implied_state(res, nbar0, DIM)
-            tvd = distribution_tvd(fock.number_distribution(res.final_rho),
+            tvd = distribution_tvd(fock.factor_populations(res.final_factor),
                                    fock.number_distribution(implied))
             assert tvd < 1e-6, f"{proto.steps}: tvd={tvd}"
 
@@ -189,11 +189,10 @@ class TestRunFock:
             shift_jump_unshift(trap),
         ]
         for proto in protos:
-            rho0 = fock.thermal_density_matrix(0.15, DIM)
-            forward = run_fock(proto, trap, initial=rho0, dim=DIM)
-            back = run_fock(proto.inverse(), trap,
-                            initial=forward.final_rho, dim=DIM)
-            assert np.max(np.abs(back.final_rho - rho0)) < 1e-6
+            forward = run_fock(proto, trap, fock.thermal_factor(0.15, DIM))
+            back = run_fock(proto.inverse(), trap, forward.final_factor)
+            assert np.max(np.abs(fock.density_from_factor(back.final_factor)
+                                 - thermal_density_matrix(0.15, DIM))) < 1e-6
 
     @staticmethod
     def _dense_chain(proto, trap, rho):
@@ -211,21 +210,25 @@ class TestRunFock:
             rho = fock.apply_unitary(op, rho)
         return rho
 
-    @pytest.mark.parametrize("dim, initial", [
-        # normal, subnormal and exactly zero populations
-        (512, lambda dim: fock.thermal_density_matrix(0.15, dim)),
-        # not diagonal: factored by eigh
-        (161, lambda dim: fock.apply_unitary(
-            fock.displacement_operator_exact(0.4 - 0.3j, dim),
-            fock.thermal_density_matrix(0.3, dim)))],
-        ids=["thermal_512", "displaced_161"])
-    def test_factor_run_matches_dense_chain(self, trap, dim, initial):
-        rho0 = initial(dim)
+    @pytest.mark.parametrize("dim, thermal", [(512, True), (161, False)],
+                             ids=["thermal_512", "displaced_161"])
+    def test_factor_run_matches_dense_chain(self, trap, dim, thermal):
+        if thermal:
+            # normal, subnormal and exactly zero populations
+            rho0 = thermal_density_matrix(0.15, dim)
+            m0 = fock.thermal_factor(0.15, dim)
+        else:
+            # not diagonal: factored by eigh
+            rho0 = fock.apply_unitary(
+                fock.displacement_operator_exact(0.4 - 0.3j, dim),
+                thermal_density_matrix(0.3, dim))
+            m0 = fock.density_factor(rho0)
         for proto in (builtin_protocol("amplify", trap, alpha_i=0.6, r=0.5),
                       shift_jump_unshift(trap)):
-            res = run_fock(proto, trap, initial=rho0, dim=dim)
+            res = run_fock(proto, trap, m0)
             dense = self._dense_chain(proto, trap, rho0)
-            assert np.max(np.abs(res.final_rho - dense)) < 1e-12
+            assert np.max(np.abs(fock.density_from_factor(res.final_factor)
+                                 - dense)) < 1e-12
 
     @pytest.mark.parametrize("name", BUILTIN_PROTOCOLS)
     def test_cli_R_matches_dense_chain(self, tmp_path, capsys, config, name):
@@ -240,14 +243,14 @@ class TestRunFock:
         doc = json.loads(capsys.readouterr().out)
         assert doc["fock_dim"] == 128
         dense = self._dense_chain(proto, trap,
-                                  fock.thermal_density_matrix(0.22, 128))
+                                  thermal_density_matrix(0.22, 128))
         R = sideband_populations(fock.number_distribution(dense),
                                  config.rabi).R
         assert abs(doc["R"] - R) < 1e-14
 
     @pytest.mark.parametrize("dim", [64, 161, 512])
     def test_implied_state_matches_dense_operators(self, trap, dim):
-        thermal = fock.thermal_density_matrix(0.15, dim)
+        thermal = thermal_density_matrix(0.15, dim)
         squeezed, amplified = (run_symplectic(builtin_protocol(
             name, trap, alpha_i=0.5, r=0.3), trap)
             for name in ("S_minus_2r", "amplify"))
@@ -265,49 +268,36 @@ class TestRunFock:
                                  - dense)) < 1e-12
 
     def test_factor_run_raises_dense_truncation(self, trap):
-        rho0 = fock.thermal_density_matrix(1.5, 64)
+        rho0 = thermal_density_matrix(1.5, 64)
         jump = FrequencyJump(trap.omega1 * math.exp(-2.0))  # r = 1
         with pytest.raises(TruncationError) as dense:
             self._dense_chain(Protocol(trap.omega1, (jump,)), trap, rho0)
         with pytest.raises(TruncationError) as factored:
             run_fock(Protocol(trap.omega1, (Wait(1e-6), jump)), trap,
-                     initial=rho0, dim=64)
+                     fock.thermal_factor(1.5, 64))
         assert factored.value.base_message == \
             f"step 1 (FrequencyJump): {dense.value.base_message}"
         assert factored.value.min_dim == dense.value.min_dim > 64
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    @pytest.mark.parametrize("fault, message", [
-        ("eigenvalue", "negative eigenvalue -1.0"),
-        ("hermiticity", "not Hermitian"), ("trace", "deviates from 1")])
-    def test_initial_state_raises_like_validate_density(self, trap, diagonal,
-                                                        fault, message):
-        dim = 32
-        rho = fock.thermal_density_matrix(0.4, dim)
-        if not diagonal:
-            rho = fock.apply_unitary(fock.displacement_operator_exact(
-                0.3, dim), rho)
-        if fault == "eigenvalue" and diagonal:
-            rho[dim - 1, dim - 1] = -1e-9
-        elif fault == "eigenvalue":
-            w, v = np.linalg.eigh(rho)
-            rho -= (w[0] + 1e-9) * np.outer(v[:, 0], v[:, 0].conj())
-        elif fault == "hermiticity":
-            rho[3, 3 if diagonal else 4] += 1e-9j
-        rho *= (1.001 if fault == "trace" else 1.0) / np.trace(rho).real
-        assert diagonal == (np.count_nonzero(rho)
-                            == np.count_nonzero(np.diag(rho)))
-        with pytest.raises(ValueError, match=message) as validated:
-            fock.validate_density(rho)
+    def test_initial_state_raises_like_factor_populations(self, trap):
+        m = fock.thermal_factor(0.4, 32) * math.sqrt(1.001)
+        with pytest.raises(ValueError, match="deviates from 1") as checked:
+            fock.factor_populations(m)
         with pytest.raises(ValueError) as started:
-            run_fock(builtin_protocol("S_minus_2r", trap, r=0.2), trap,
-                     initial=rho, dim=dim)
-        assert str(started.value) == str(validated.value)
+            run_fock(builtin_protocol("S_minus_2r", trap, r=0.2), trap, m)
+        assert str(started.value) == f"initial state: {checked.value}"
 
-    def test_initial_state_shape_must_match_dim(self, trap):
-        with pytest.raises(ValueError, match="does not match dim=64"):
-            run_fock(builtin_protocol("S_minus_2r", trap, r=0.2), trap,
-                     initial=fock.thermal_density_matrix(0.2, 48), dim=64)
+    def test_initial_state_meets_the_tail_guard(self, trap):
+        # 1.1e-6 of the thermal state lies in the guard band at 16 levels;
+        # a protocol without steps must not carry it unchecked
+        with pytest.raises(TruncationError) as err:
+            run_fock(Protocol(trap.omega1, ()), trap,
+                     fock.thermal_factor(0.22, 16))
+        assert err.value.base_message.startswith(
+            "initial state: state carries 1.1")
+        assert err.value.min_dim > 16
+        assert run_fock(Protocol(trap.omega1, ()), trap, fock.thermal_factor(
+            0.22, err.value.min_dim)).final_factor.shape[0] > 16
 
     def test_elapsed_time(self, trap):
         proto = builtin_protocol("S_minus_2r", trap)

@@ -11,9 +11,11 @@ result line) and, per workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, how many pairs
 the change won, whether the gain rule holds (the change wins at least
 nine tenths of the pairs and its median beats the parent's by more than
-the parent's interquartile range) and whether the change's median is
-within the metric's bound of the parent's.  One summary line per
-workload and metric is printed at the end.
+the parent's interquartile range), whether the change's median is
+within the metric's bound of the parent's, and whether the metric is
+unresolved (either side's interquartile range exceeds the bound times
+its median, and not every change run beats every parent run).  One
+summary line per workload and metric is printed at the end.
 """
 
 import argparse
@@ -50,7 +52,8 @@ def _quartiles(values):
 
 def _summary(runs, metrics):
     """Per end-to-end metric, given as ``{name: (better, bound)}``:
-    medians, quartiles, wins, the gain rule and the bound check."""
+    medians, quartiles, wins, the gain rule, the bound check and whether
+    the runs spread too widely for the bound to decide."""
     out = {}
     for name, (better, bound) in metrics.items():
         sign = 1.0 if better == "lower" else -1.0
@@ -61,6 +64,9 @@ def _summary(runs, metrics):
                    for p, c in zip(values["parent"], values["change"]))
         gain = sign * (quart["parent"][1] - quart["change"][1])
         ratio = quart["change"][1] / quart["parent"][1]
+        wide = any(q[2] - q[0] > bound * q[1] for q in quart.values())
+        separated = all(sign * (p - c) > 0 for p in values["parent"]
+                        for c in values["change"])
         out[name] = {
             "parent_median": quart["parent"][1],
             "change_median": quart["change"][1],
@@ -74,6 +80,7 @@ def _summary(runs, metrics):
             "bound": bound,
             "within_bound": (ratio <= 1.0 + bound if better == "lower"
                              else ratio >= 1.0 - bound),
+            "unresolved": wide and not separated,
         }
     return out
 
@@ -82,7 +89,8 @@ def _summary_line(workload, name, row):
     return (f"{workload} {name}: parent {row['parent_median']:.4g} change "
             f"{row['change_median']:.4g} ratio {row['change_over_parent']:.3f}"
             f" wins {row['change_wins']} gain_rule {row['gain_rule_holds']} "
-            f"within_bound {row['within_bound']} (bound {row['bound']})")
+            f"within_bound {row['within_bound']} (bound {row['bound']}) "
+            f"unresolved {row['unresolved']}")
 
 
 def main(argv=None):
