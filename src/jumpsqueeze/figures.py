@@ -1,9 +1,11 @@
-"""Theory-curve tables for every figure, computed row by row through the
-protocol and spectroscopy machinery and written as deterministic CSV.
+"""Theory-curve tables for every figure, computed through the protocol
+and spectroscopy machinery and written as deterministic CSV.
 
 Each figure is one sweep, declared once in ``_FIGURES``: its sweep
-column, its grid, a row builder and its envelope rule.  ``generate`` is
-the one loop that fills a table from such an entry.
+column, its grid, a column builder and its envelope rule.  A builder
+finds each row's amplitude on the symplectic backend, then evaluates the
+matrix elements of the whole sweep in one batched recurrence per column;
+``generate`` assembles a table from such an entry.
 
 Where the measurements show contrast decay, the fitted 1/e constants are
 applied as a multiplicative envelope about a baseline:
@@ -33,7 +35,7 @@ from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
 from .protocol import (FrequencyJump, Protocol, ShiftOrigin, UnshiftOrigin,
                        Wait, amplified_alpha, builtin_protocol, run_fock,
                        run_symplectic)
-from .spectroscopy import (DecoherenceParams, RabiParams,
+from .spectroscopy import (MAX_NBAR0, DecoherenceParams, RabiParams,
                            amplified_distribution_decohered,
                            sideband_populations, weighted_distribution)
 
@@ -71,7 +73,8 @@ CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
     "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
     "fock_dim": (check_integer, 2, MAX_FOCK_DIM),
-    "nbar0": (check_number, 0), "periods": (check_number, 0, True),
+    "nbar0": (check_number, 0, False, MAX_NBAR0),
+    "periods": (check_number, 0, True),
     "points_per_period": (check_number, 0, True),
     "envelope_tau_s": (check_number, 0, True),
     "decay_time_s": (check_number, 0, True),
@@ -182,76 +185,71 @@ def build_spec(figure_id, trap, rabi, overrides=None):
 
 
 def _squeezed_thermal_R(r_eff, nbar0, rabi):
+    """R of the squeezed thermal input at ``r_eff`` (a scalar or one per
+    row)."""
     dist = weighted_distribution(partial(squeeze_block_sq, r_eff), nbar0,
                                  rabi.n_max)
     return sideband_populations(dist, rabi).R
 
 
-def _displaced_thermal(alpha, nbar0, rabi):
-    return weighted_distribution(partial(displacement_block_sq, alpha), nbar0,
-                                 rabi.n_max)
+def _displaced_thermal(alphas, nbar0, rabi):
+    return weighted_distribution(
+        partial(displacement_block_sq, np.asarray(alphas)), nbar0, rabi.n_max)
 
 
-def _squeezed(spec, protocol):
-    """r_eff, R of the squeezed thermal input and elapsed time of
-    ``protocol`` on the symplectic backend."""
-    res = run_symplectic(protocol, spec.trap)
-    r = squeeze_params_from_pair(res.pair).r
+def _squeezed(spec, protocols):
+    """r_eff, R of the squeezed thermal input and elapsed time of each of
+    ``protocols`` on the symplectic backend, as columns."""
+    results = [run_symplectic(p, spec.trap) for p in protocols]
+    r = np.array([squeeze_params_from_pair(res.pair).r for res in results])
     return (r, _squeezed_thermal_R(r, spec.constants["nbar0"], spec.rabi),
-            res.elapsed)
+            np.array([res.elapsed for res in results]))
 
 
-# Row builders: each takes the spec and returns ``row(x) -> {column:
-# value}`` for one sweep value x, plus the figure's fixed metadata.  Work
-# shared by every row is done once, before ``row`` is returned.
+# Column builders: each takes the spec and returns ``{column: values}``
+# over the whole sweep, plus the figure's fixed metadata.  The amplitudes
+# are found row by row; each figure's matrix elements are then one
+# batched recurrence per column.
 
 def _fig2a(spec):
     trap, nbar0 = spec.trap, spec.constants["nbar0"]
-
-    def row(two_r):
-        r, R, elapsed = _squeezed(spec, builtin_protocol(
-            "S_minus_2r", trap, r=two_r / 2.0) if two_r > 0
-            else Protocol(trap.omega1, ()))
-        moments = squeezed_thermal_moments(nbar0, r)
-        return {"R": R, "nbar_st": moments.nbar_st,
-                "dnbar_st": moments.dnbar_st, "elapsed_s": elapsed}
-    return row, {}
+    r, R, elapsed = _squeezed(spec, [builtin_protocol(
+        "S_minus_2r", trap, r=two_r / 2.0) if two_r > 0
+        else Protocol(trap.omega1, ()) for two_r in spec.sweep])
+    moments = [squeezed_thermal_moments(nbar0, x) for x in r.tolist()]
+    return {"R": R, "nbar_st": np.array([m.nbar_st for m in moments]),
+            "dnbar_st": np.array([m.dnbar_st for m in moments]),
+            "elapsed_s": elapsed}, {}
 
 
 def _fig2a_inset(spec):
-    def row(n):
-        r, R, elapsed = _squeezed(spec, builtin_protocol(
-            "multi_jump", spec.trap, n_jumps=int(n),
-            r=spec.constants["r_per_jump"]))
-        return {"r_total": r, "R": R, "elapsed_s": elapsed}
-    return row, {}
+    r, R, elapsed = _squeezed(spec, [builtin_protocol(
+        "multi_jump", spec.trap, n_jumps=int(n),
+        r=spec.constants["r_per_jump"]) for n in spec.sweep])
+    return {"r_total": r, "R": R, "elapsed_s": elapsed}, {}
 
 
 def _fig2b(spec):
     omega1 = spec.trap.omega1
-
-    def row(r):
-        r_eff, R, _ = _squeezed(spec, Protocol(
-            omega1, (FrequencyJump(omega1 * math.exp(-2 * r)),
-                     FrequencyJump(omega1)) if r > 0 else ()))
-        return {"r_eff": r_eff, "R": R}
-    return row, {"baseline_rule": "none"}
+    r_eff, R, _ = _squeezed(spec, [Protocol(
+        omega1, (FrequencyJump(omega1 * math.exp(-2 * r)),
+                 FrequencyJump(omega1)) if r > 0 else ())
+        for r in spec.sweep])
+    return {"r_eff": r_eff, "R": R}, {"baseline_rule": "none"}
 
 
 def _fig2c(spec):
     trap = spec.trap
-
-    def row(tau):
-        r_eff, R, _ = _squeezed(spec, Protocol(
-            trap.omega1, (FrequencyJump(trap.omega2), Wait(tau),
-                          FrequencyJump(trap.omega1))))
-        return {"r_eff": r_eff, "R": R}
-    return row, {"two_r": math.log(trap.omega1 / trap.omega2),
-                 "oscillation_period_s": math.pi / trap.omega2}
+    r_eff, R, _ = _squeezed(spec, [Protocol(
+        trap.omega1, (FrequencyJump(trap.omega2), Wait(tau),
+                      FrequencyJump(trap.omega1))) for tau in spec.sweep])
+    return {"r_eff": r_eff, "R": R}, {
+        "two_r": math.log(trap.omega1 / trap.omega2),
+        "oscillation_period_s": math.pi / trap.omega2}
 
 
 def _fig2d(spec):
-    nbar0 = spec.constants["nbar0"]
+    nbar0, v = spec.constants["nbar0"], spec.sweep
     r_total = math.log(spec.constants["squeeze_factor"])
     x0, sigma_v, width_ground = ground_state_widths(spec.trap)
     _, _, width_thermal = ground_state_widths(spec.trap, nbar0=nbar0)
@@ -261,11 +259,8 @@ def _fig2d(spec):
         "density_squeezed_position": sigma_v * math.exp(r_total),
         "density_ground_thermal": sigma_v * math.sqrt(2 * nbar0 + 1),
     }
-
-    def row(v):
-        return {name: np.exp(-(v * v) / (2.0 * sigma ** 2))
-                for name, sigma in widths.items()}
-    return row, {
+    return {name: np.exp(-(v * v) / (2.0 * sigma ** 2))
+            for name, sigma in widths.items()}, {
         "x0_m": x0,
         "sigma_v_m_s": sigma_v,
         "width_1e2_ground_m_s": width_ground,
@@ -280,29 +275,25 @@ def _fig2d(spec):
 
 def _fig3b(spec):
     trap, rabi, nbar0 = spec.trap, spec.rabi, spec.constants["nbar0"]
-
-    def row(d):
-        alpha = coherent_alpha_from_shift(d, trap)
-        return {"alpha": alpha,
-                "R_displaced_thermal": sideband_populations(
-                    _displaced_thermal(alpha, nbar0, rabi), rabi).R,
-                "R_pure_coherent": sideband_populations(
-                    _displaced_thermal(alpha, 0.0, rabi), rabi).R}
-    return row, {"calibration": trap.calibration, "x0_m": trap.x0}
+    alpha = np.array([coherent_alpha_from_shift(d, trap) for d in spec.sweep])
+    return {"alpha": alpha,
+            "R_displaced_thermal": sideband_populations(
+                _displaced_thermal(alpha, nbar0, rabi), rabi).R,
+            "R_pure_coherent": sideband_populations(
+                _displaced_thermal(alpha, 0.0, rabi), rabi).R}, {
+        "calibration": trap.calibration, "x0_m": trap.x0}
 
 
 def _fig3c(spec):
     trap, rabi, c = spec.trap, spec.rabi, spec.constants
-    nbar0, d = c["nbar0"], c["d_m"]
-
-    def row(tau):
-        steps = (ShiftOrigin(d), Wait(tau), UnshiftOrigin())
-        alpha = abs(run_symplectic(Protocol(trap.omega1, steps),
-                                   trap).displacement)
-        return {"alpha_abs": alpha, "R": sideband_populations(
-            _displaced_thermal(alpha, nbar0, rabi), rabi).R}
-    return row, {"alpha_i": coherent_alpha_from_shift(d, trap),
-                 "oscillation_period_s": TWO_PI / trap.omega1}
+    d = c["d_m"]
+    alpha = np.array([abs(run_symplectic(Protocol(trap.omega1, (
+        ShiftOrigin(d), Wait(tau), UnshiftOrigin())), trap).displacement)
+        for tau in spec.sweep])
+    return {"alpha_abs": alpha, "R": sideband_populations(
+        _displaced_thermal(alpha, c["nbar0"], rabi), rabi).R}, {
+        "alpha_i": coherent_alpha_from_shift(d, trap),
+        "oscillation_period_s": TWO_PI / trap.omega1}
 
 
 def _fig4a(spec):
@@ -313,29 +304,25 @@ def _fig4a(spec):
     prepared = run_fock(proto, trap, fock.thermal_factor(c["nbar0"], dim))
     populations = fock.evolution_populations(
         fock.displacement_operator_exact(-alpha_i, dim), prepared.final_factor)
-
-    def row(tau):
-        return {"R": sideband_populations(populations(trap.omega1, tau),
-                                          rabi).R}
-    return row, {"oscillation_period_s": TWO_PI / trap.omega1,
-                 "fock_dim": dim}
+    return {"R": sideband_populations(np.array(
+        [populations(trap.omega1, tau) for tau in spec.sweep]), rabi).R}, {
+        "oscillation_period_s": TWO_PI / trap.omega1, "fock_dim": dim}
 
 
 def _fig4c(spec):
     trap, rabi, c = spec.trap, spec.rabi, spec.constants
     nbar0, alpha_i, gamma_dec = c["nbar0"], c["alpha_i"], c["decay_time_s"]
-
-    def row(two_r):
-        alpha_f = amplified_alpha(alpha_i, two_r / 2.0)
-        omega2 = trap.omega1 * math.exp(-two_r)
-        t_prime = math.pi / trap.omega1 + math.pi / omega2
-        displaced = _displaced_thermal(alpha_f, nbar0, rabi)
-        decohered = amplified_distribution_decohered(
-            displaced, alpha_f, nbar0, DecoherenceParams(gamma_dec, t_prime))
-        return {"alpha_f_abs": abs(alpha_f), "t_prime_s": t_prime,
-                "R_with_decoherence": sideband_populations(decohered, rabi).R,
-                "R_no_decoherence": sideband_populations(displaced, rabi).R}
-    return row, {"alpha_i": alpha_i, "decay_time_s": gamma_dec}
+    alpha_f = [amplified_alpha(alpha_i, two_r / 2.0) for two_r in spec.sweep]
+    t_prime = [math.pi / trap.omega1 + math.pi / (trap.omega1 * math.exp(
+        -two_r)) for two_r in spec.sweep]
+    displaced = _displaced_thermal(alpha_f, nbar0, rabi)
+    decohered = np.array([amplified_distribution_decohered(
+        dist, alpha, nbar0, DecoherenceParams(gamma_dec, t))
+        for dist, alpha, t in zip(displaced, alpha_f, t_prime)])
+    return {"alpha_f_abs": np.abs(alpha_f), "t_prime_s": np.array(t_prime),
+            "R_with_decoherence": sideband_populations(decohered, rabi).R,
+            "R_no_decoherence": sideband_populations(displaced, rabi).R}, {
+        "alpha_i": alpha_i, "decay_time_s": gamma_dec}
 
 
 def _span(key, symmetric=False):
@@ -355,11 +342,11 @@ def _periods(period):
 
 
 class _Figure(NamedTuple):
-    """One figure: sweep column name, ``grid(constants, trap)``, row
+    """One figure: sweep column name, ``grid(constants, trap)``, column
     builder, and envelope (baseline rule, time column, decay key)."""
     sweep_column: str
     grid: Callable
-    build_rows: Callable
+    build_columns: Callable
     envelope: Optional[Tuple[str, str, str]] = None
 
 
@@ -386,13 +373,11 @@ FIGURE_IDS = tuple(_FIGURES)
 
 def generate(spec):
     """Compute the deterministic curve table for one figure: the sweep
-    column, one column per row key in row order, and ``R_enveloped``
-    straight after ``R`` if the figure has an envelope."""
+    column, the builder's columns in order, and ``R_enveloped`` straight
+    after ``R`` if the figure has an envelope."""
     figure = _FIGURES[spec.figure_id]
-    row, meta = figure.build_rows(spec)
-    rows = [row(x) for x in spec.sweep]
-    cols = {figure.sweep_column: spec.sweep,
-            **{key: np.array([r[key] for r in rows]) for key in rows[0]}}
+    columns, meta = figure.build_columns(spec)
+    cols = {figure.sweep_column: spec.sweep, **columns}
     if figure.envelope:
         rule, time_column, tau_key = figure.envelope
         raw = cols["R"]

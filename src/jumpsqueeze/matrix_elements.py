@@ -2,7 +2,8 @@
 operators between number states, and squeezed-thermal number moments.
 
 Each operator has one block evaluator: a numpy three-term recurrence in
-the lower index, vectorized over the index difference, whose terms stay
+the lower index, vectorized over the index difference and over a batch
+of amplitudes (a scalar amplitude is a batch of one), whose terms stay
 of order one over the supported domain (indices up to ``MAX_INDEX``,
 ``|r| <= 3``, ``|alpha| <= 6``).  Squeeze: the Jacobi polynomial
 ``P_j^(d, p-1/2)(1 - 2 tanh^2 r)`` over its value at 1 (Kim, de Oliveira
@@ -38,59 +39,90 @@ def _check_indices(n, l):
     return int(n), int(l)
 
 
+def _amplitudes(values, name, valid, kind=lambda v: v):
+    """``values`` (a scalar or a 1-D array) as a list of ``kind``, after
+    checking that each one is ``valid``."""
+    values = [kind(v) for v in np.atleast_1d(values).tolist()]
+    for value in values:
+        if not valid(value):
+            raise ValueError(f"{name} out of range: {value}")
+    return values
+
+
+def _unstack(amplitudes, stack):
+    """``stack``, whose last axis runs over the amplitudes, with that axis
+    moved first as a C-contiguous array, or its one entry if
+    ``amplitudes`` is a scalar."""
+    stack = np.ascontiguousarray(np.moveaxis(stack, -1, 0))
+    return stack if np.ndim(amplitudes) else stack[0]
+
+
 def _squeeze_sq(r, n, l):
-    """|<n|S(r)|l>|^2 for broadcastable integer arrays ``n``, ``l``: one
-    recurrence column per distinct (l - n, parity) pair asked for."""
-    if not math.isfinite(r) or abs(r) > MAX_SQUEEZE_AMPLITUDE:
-        raise ValueError(f"squeeze amplitude out of range: {r}")
+    """|<n|S(r)|l>|^2 for broadcastable integer arrays ``n``, ``l``, with a
+    leading axis over ``r`` if it is a 1-D array: one recurrence column
+    per distinct (l - n, parity) pair asked for."""
+    rs = _amplitudes(r, "squeeze amplitude", lambda v: math.isfinite(v) and
+                     abs(v) <= MAX_SQUEEZE_AMPLITUDE)
+    t2 = [math.tanh(v) ** 2 for v in rs]
     low, diff = np.minimum(n, l), np.abs(n - l)
     column = diff - diff % 2 + low % 2
     needed = np.unique(column)
     d, p = np.divmod(needed, 2)  # entries n = 2j + p, l = n + 2d
-    a, b = d.astype(float), p - 0.5  # Jacobi parameters
-    t2 = math.tanh(r) ** 2
-    # q[j] = P_j^(a,b)(1 - 2 t2) / C(j + a, j); the q[j - 2] term
-    # vanishes at j = 1, and every q is exactly 1 at r = 0
-    q = np.ones((int(low.max()) // 2 + 1, len(needed)))
+    # Jacobi parameters, one row per column of the recurrence
+    a, b = d.astype(float)[:, None], (p - 0.5)[:, None]
+    # q[j] = P_j^(a,b)(x) / C(j + a, j), x = 1 - 2 t2, one column per
+    # amplitude; the q[j - 2] term vanishes at j = 1, and every q is
+    # exactly 1 at r = 0.  Coefficients that do not involve x are tabled.
+    q = np.ones((int(low.max()) // 2 + 1, len(needed), len(rs)))
+    jt = np.arange(len(q))[:, None, None]
+    s = 2 * jt + a + b
+    c1, c2, c3 = s - 1, s * (s - 2), 2 * (jt + b - 1) * s * (jt - 1)
+    c4 = 2 * (jt + a + b) * (s - 2) * (jt + a)
+    aa, bb, x = a * a, b * b, 1.0 - 2.0 * np.array(t2)
     for j in range(1, len(q)):
-        s = 2 * j + a + b
-        q[j] = ((s - 1) * (s * (s - 2) * (1.0 - 2.0 * t2) + a * a - b * b)
-                * q[j - 1] - 2 * (j + b - 1) * s * (j - 1) * q[j - 2]) \
-            / (2 * (j + a + b) * (s - 2) * (j + a))
+        q[j] = (c1[j] * (c2[j] * x + aa - bb) * q[j - 1]
+                - c3[j] * q[j - 2]) / c4[j]
     q = q[low // 2, np.searchsorted(needed, column)]
     # prefactor applied to the amplitude, so neither factor overflows
     log_prefactor = (_LOG_FACTORIAL[low + diff] - _LOG_FACTORIAL[low]
                      - 2 * _LOG_FACTORIAL[diff // 2]) / 2
-    amplitude = (q * np.exp(log_prefactor) * (math.sqrt(t2) / 2) ** (diff // 2)
-                 / math.cosh(r) ** (low % 2 + 0.5))
-    return np.where(diff % 2, 0.0, amplitude ** 2)
+    amplitude = (q * np.exp(log_prefactor)[..., None]
+                 * np.array([math.sqrt(v) / 2 for v in t2])
+                 ** (diff // 2)[..., None]
+                 / np.array([math.cosh(v) for v in rs])
+                 ** (low % 2 + 0.5)[..., None])
+    return _unstack(r, np.where((diff % 2)[..., None], 0.0, amplitude ** 2))
 
 
 def _displacement_sq(alpha, n, l):
-    """|<n|D(alpha)|l>|^2 for broadcastable integer arrays ``n``, ``l``:
-    one recurrence column per distinct |l - n| asked for."""
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)
-            and abs(alpha) <= MAX_DISPLACEMENT):
-        raise ValueError(f"displacement out of range: {alpha}")
-    x = abs(alpha) ** 2
+    """|<n|D(alpha)|l>|^2 for broadcastable integer arrays ``n``, ``l``,
+    with a leading axis over ``alpha`` if it is a 1-D array: one
+    recurrence column per distinct |l - n| asked for."""
+    xs = [abs(v) ** 2 for v in _amplitudes(
+        alpha, "displacement", lambda v: math.isfinite(v.real)
+        and math.isfinite(v.imag) and abs(v) <= MAX_DISPLACEMENT, complex)]
+    x = np.array(xs)
     low, diff = np.minimum(n, l), np.abs(n - l)
     k = np.unique(diff)
-    # f[j, k] = |<j+k|D|j>|, with f[0] = sqrt(x^k exp(-x) / k!) as a
-    # product that cannot overflow; the f[j - 1] term vanishes at j = 0
-    f = np.zeros((int(low.max()) + 1, len(k)))
-    f[0] = math.exp(-x / 2) * np.cumprod(np.sqrt(
-        np.append(1.0, x / np.arange(1, k.max() + 1))))[k]
+    # f[j, k] = |<j+k|D|j>|, one column per amplitude, with f[0] =
+    # sqrt(x^k exp(-x) / k!) as a product that cannot overflow; the
+    # f[j - 1] term vanishes at j = 0.  Coefficients free of x are tabled.
+    f = np.zeros((int(low.max()) + 1, len(k), len(xs)))
+    f[0] = (np.array([math.exp(-v / 2) for v in xs]) * np.cumprod(np.sqrt(
+        np.vstack((np.ones_like(x), x / np.arange(1, k.max() + 1)[:, None]))),
+        axis=0)[k])
+    jt, kc = np.arange(len(f))[:, None, None], k[:, None]
+    c1, c2 = 2 * jt + 1 + kc, np.sqrt(jt * (jt + kc))
+    c3 = np.sqrt((jt + 1) * (jt + 1 + kc))
     for j in range(len(f) - 1):
-        f[j + 1] = ((2 * j + 1 + k - x) * f[j]
-                    - np.sqrt(j * (j + k)) * f[j - 1]) \
-            / np.sqrt((j + 1) * (j + 1 + k))
-    return f[low, np.searchsorted(k, diff)] ** 2
+        f[j + 1] = ((c1[j] - x) * f[j] - c2[j] * f[j - 1]) / c3[j]
+    return _unstack(alpha, f[low, np.searchsorted(k, diff)] ** 2)
 
 
 def squeeze_block_sq(r, n_max, l_max):
     """``|<n| S(r) |l>|^2`` for n = 0..n_max, l = 0..l_max and real
-    ``r``, ``|r| <= 3``, as an ``(n_max+1) x (l_max+1)`` array.
+    ``r``, ``|r| <= 3``, as an ``(n_max+1) x (l_max+1)`` array; for a 1-D
+    array of ``r``, their C-contiguous ``(m, n_max+1, l_max+1)`` stack.
 
     Symmetric in (n, l), even in ``r`` and zero wherever ``n + l`` is
     odd (parity selection rule).
@@ -102,8 +134,9 @@ def squeeze_block_sq(r, n_max, l_max):
 def displacement_block_sq(alpha, n_max, l_max):
     """``|<n| D(alpha) |l>|^2`` for n = 0..n_max, l = 0..l_max and
     complex ``alpha``, ``|alpha| <= 6``, as an ``(n_max+1) x (l_max+1)``
-    array.  Symmetric in (n, l); depends on ``alpha`` only through
-    ``|alpha|^2``.
+    array; for a 1-D array of ``alpha``, their C-contiguous ``(m,
+    n_max+1, l_max+1)`` stack.  Symmetric in (n, l); depends on ``alpha``
+    only through ``|alpha|^2``.
     """
     _check_indices(n_max, l_max)
     return _displacement_sq(alpha, *np.ogrid[:n_max + 1, :l_max + 1])

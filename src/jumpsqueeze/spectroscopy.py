@@ -4,12 +4,18 @@ phenomenological amplification decoherence model."""
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .constants import MAX_INDEX
 
 THERMAL_TAIL_TOL = 1e-8
+
+# Largest number of matrix elements weighted_distribution evaluates at
+# once: a sweep's blocks are built this many elements' worth of rows at a
+# time, so memory stays bounded however many amplitudes a sweep has.
+CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,8 @@ class RabiParams:
 
 @dataclass(frozen=True)
 class SidebandResult:
-    """Unnormalized sideband populations and their ratio R = p_minus/p_plus."""
+    """Unnormalized sideband populations and their ratio R = p_minus/p_plus
+    (arrays, one entry per distribution, for a stack of distributions)."""
     p_plus: float
     p_minus: float
     R: float
@@ -82,23 +89,48 @@ def default_l_max(nbar0):
     return max(0, math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(beta)) - 1)
 
 
+def _max_nbar0():
+    """Largest mean occupation whose default_l_max is at most MAX_INDEX:
+    the closed-form edge beta = THERMAL_TAIL_TOL ** (1 / (MAX_INDEX + 1)),
+    stepped down past its round-off."""
+    beta = THERMAL_TAIL_TOL ** (1.0 / (MAX_INDEX + 1))
+    nbar0 = beta / (1.0 - beta)
+    while default_l_max(nbar0) > MAX_INDEX:
+        nbar0 = math.nextafter(nbar0, 0.0)
+    return nbar0
+
+
+# Largest thermal mean occupation the matrix-element sums can weight.
+MAX_NBAR0 = _max_nbar0()
+
+
 def weighted_distribution(block_fn, nbar0, n_max):
     """Thermal-weighted number distribution
     ``P_n = sum_l w_l(nbar0) block_fn(n_max, l_max)[n, l]`` for
     n = 0..n_max, with ``l_max = default_l_max(nbar0)``.
 
     ``block_fn(n_max, l_max)`` must return the ``(n_max+1) x (l_max+1)``
-    block of squared (column-normalized) matrix elements.
+    block of squared (column-normalized) matrix elements.  For
+    ``partial(block_sq, amplitudes)`` with a 1-D array of amplitudes the
+    result is one distribution per amplitude, ``(m, n_max+1)``, from
+    ``block_sq``'s stacks of ``CHUNK_ELEMENTS`` elements' worth of rows.
     """
     if nbar0 < 0:
         raise ValueError("mean occupation must be nonnegative")
     l_max = default_l_max(nbar0)
-    return block_fn(n_max, l_max) @ thermal_weights(nbar0, l_max)
+    weights = thermal_weights(nbar0, l_max)
+    if not (isinstance(block_fn, partial) and np.ndim(block_fn.args[0])):
+        return block_fn(n_max, l_max) @ weights
+    block_sq, amplitudes = block_fn.func, block_fn.args[0]
+    rows = max(1, CHUNK_ELEMENTS // ((n_max + 1) * (l_max + 1)))
+    return np.concatenate([block_sq(amplitudes[i:i + rows], n_max, l_max)
+                           @ weights for i in range(0, len(amplitudes), rows)])
 
 
 def sideband_populations(dist, rabi):
     """First blue and red sideband populations of a number distribution
-    after a Rabi pulse, and their ratio.
+    after a Rabi pulse, and their ratio: Python floats for a 1-D ``dist``,
+    one array entry per row for a 2-D stack of distributions.
 
     P+ sums ``P_n (1 - exp(-gamma t) cos(sqrt(n+1) Omega t))`` over
     n = 0..n_max, P- the matching ``sqrt(n)`` expression over n >= 1; the
@@ -106,20 +138,23 @@ def sideband_populations(dist, rabi):
     retained.
     """
     dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 1 or len(dist) == 0:
-        raise ValueError("distribution must be a nonempty 1-D array")
-    if np.any(dist < -1e-12):
+    if dist.ndim not in (1, 2) or dist.shape[-1] == 0:
+        raise ValueError("distribution must be a nonempty 1-D array or a "
+                         "stack of them")
+    if (dist < -1e-12).any():
         raise ValueError("distribution has negative entries")
-    n_top = min(len(dist) - 1, rabi.n_max)
+    n_top = min(dist.shape[-1] - 1, rabi.n_max)
     n = np.arange(n_top + 1)
     contrast = math.exp(-rabi.gamma * rabi.pulse_t)
     x = rabi.omega01 * rabi.pulse_t
-    p = dist[:n_top + 1]
-    p_plus = 0.5 * float(np.sum(p * (1.0 - contrast * np.cos(np.sqrt(n + 1) * x))))
-    p_minus = 0.5 * float(np.sum(
-        p[1:] * (1.0 - contrast * np.cos(np.sqrt(n[1:]) * x))))
-    if p_plus <= 0.0:
+    p = dist[..., :n_top + 1]
+    p_plus = 0.5 * (p * (1.0 - contrast * np.cos(np.sqrt(n + 1) * x))).sum(-1)
+    p_minus = 0.5 * (p[..., 1:] * (
+        1.0 - contrast * np.cos(np.sqrt(n[1:]) * x))).sum(-1)
+    if (p_plus <= 0.0).any():
         raise ValueError("degenerate input: blue-sideband population is zero")
+    if dist.ndim == 1:
+        p_plus, p_minus = float(p_plus), float(p_minus)
     return SidebandResult(p_plus, p_minus, p_minus / p_plus)
 
 

@@ -378,6 +378,11 @@ class TestConfigHandling:
         ("config", "selfcheck.element_n_max", 512),
         ("config", "fock_dim", 1025),
         ("config", "figure_overrides.fig4a.fock_dim", 1025),
+        # nbar0 whose thermal weights need an index above MAX_INDEX
+        ("config", "nbar0", 1e20),
+        ("config", "figure_overrides.fig3b.nbar0", 50),
+        ("config", "figure_overrides.fig3b.nbar0", 1e20),
+        ("config", "figure_overrides.fig2d.nbar0", 1.7e308),
     ])
     def test_input_outside_domain_exits_2(self, tmp_path, capsys,
                                           document, key, value):
@@ -428,8 +433,6 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
-        # 2 * nbar0 overflows in the thermal broadening metadata
-        {"figure_overrides": {"fig2d": {"nbar0": 1.7e308}}},
         # 2 * mass * omega1 underflows to 0 in the ground-state extent
         {"trap": {"mass_kg": 1e-300, "omega1_hz": 1e-30}},
     ])
@@ -488,6 +491,13 @@ class TestProtocolRun:
         assert doc["theta_rad"] == pytest.approx(math.pi / 2, abs=1e-9)
         assert doc["ln_u_plus_v"] == pytest.approx(doc["r_eff"], abs=1e-9)
         assert 0 < doc["R"] < 1
+
+    def test_unbounded_nbar0_exits_2(self, proto_file, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"nbar0": 1e20})
+        assert main(["--config", cfg, "protocol", "run", proto_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: nbar0: must be <= ")
+        assert captured.out == ""
 
     def test_empty_protocol_gives_thermal_baseline(self, tmp_path, capsys):
         path = write_json(tmp_path / "empty.json",

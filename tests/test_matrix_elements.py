@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,48 @@ class TestBlocksAgainstExactReference:
         np.testing.assert_array_equal(full, full.T)
         np.testing.assert_array_equal(displacement_block_sq(2.0, 40, 30),
                                       full[:, :31])
+
+
+class TestBatchedBlocks:
+    """A 1-D array of amplitudes gives the stack of the blocks each one
+    gives alone, bit for bit."""
+
+    R_VALUES = [0.0, 0.3, -0.3, 1.4, 3.0]
+    ALPHAS = [0.0, 0.7 * np.exp(0.4j), -1.3, 6.0]
+
+    @pytest.mark.parametrize("n_max, l_max", [(20, 11), (60, 45), (0, 0),
+                                              (5, 0)])
+    @pytest.mark.parametrize("block_sq, amplitudes", [
+        (squeeze_block_sq, R_VALUES), (displacement_block_sq, ALPHAS)])
+    def test_stack_equals_per_amplitude_blocks(self, block_sq, amplitudes,
+                                               n_max, l_max):
+        stack = block_sq(np.array(amplitudes), n_max, l_max)
+        assert stack.shape == (len(amplitudes), n_max + 1, l_max + 1)
+        assert stack.flags.c_contiguous
+        for row, amplitude in zip(stack, amplitudes):
+            np.testing.assert_array_equal(row, block_sq(amplitude, n_max,
+                                                        l_max))
+
+    @pytest.mark.parametrize("block_sq, amplitude", [
+        (squeeze_block_sq, 0.3), (displacement_block_sq, 0.7j)])
+    def test_scalar_keeps_its_shape(self, block_sq, amplitude):
+        for value in (amplitude, np.asarray(amplitude)):
+            block = block_sq(value, 20, 11)
+            assert block.shape == (21, 12) and block.flags.c_contiguous
+        assert block_sq(np.array([amplitude]), 20, 11).shape == (1, 21, 12)
+
+    @pytest.mark.parametrize("block_sq, batch, bad", [
+        (squeeze_block_sq, [0.3, 3.5, 1.0], 3.5),
+        (squeeze_block_sq, [-0.3, float("nan")], float("nan")),
+        (squeeze_block_sq, [0.0, -math.inf], -math.inf),
+        (displacement_block_sq, [1.0, 7.0], 7.0),
+        (displacement_block_sq, [0.5j, 4.5 + 4.5j], 4.5 + 4.5j)])
+    def test_out_of_range_amplitude_in_a_batch_is_named(self, block_sq,
+                                                         batch, bad):
+        with pytest.raises(ValueError) as alone:
+            block_sq(bad, 20, 11)
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            block_sq(np.array(batch), 20, 11)
 
 
 class TestSqueezedThermalMoments:

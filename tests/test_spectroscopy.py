@@ -4,12 +4,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from jumpsqueeze.constants import TWO_PI
+from jumpsqueeze import spectroscopy
+from jumpsqueeze.constants import MAX_INDEX, TWO_PI
 from jumpsqueeze.matrix_elements import (displacement_block_sq,
                                          squeeze_block_sq,
                                          squeeze_matrix_element_sq,
                                          squeezed_thermal_moments)
-from jumpsqueeze.spectroscopy import (DecoherenceParams, RabiParams,
+from jumpsqueeze.spectroscopy import (MAX_NBAR0, DecoherenceParams,
+                                      RabiParams,
                                       amplified_distribution_decohered,
                                       default_l_max, nbar_from_R,
                                       rabi_flop_model, sideband_populations,
@@ -65,6 +67,62 @@ class TestWeightedDistribution:
             beta = nbar0 / (1 + nbar0)
             assert beta ** (l_max + 1) <= 1e-8
             assert beta ** l_max > 1e-8
+
+
+    def test_max_nbar0_is_the_largest_within_max_index(self):
+        assert default_l_max(MAX_NBAR0) <= MAX_INDEX
+        assert default_l_max(math.nextafter(MAX_NBAR0, math.inf)) > MAX_INDEX
+
+
+SWEEPS = [(squeeze_block_sq, [0.0, 0.3, -0.3, 1.4, 3.0, 0.9, 2.2]),
+          (displacement_block_sq, [0.0, 0.7 * np.exp(0.4j), -1.3, 6.0, 2.5])]
+
+
+class TestBatchedWeightedDistribution:
+    """A sweep of amplitudes in one call gives, bit for bit, the
+    distributions and sideband ratios of one call per amplitude."""
+
+    @pytest.mark.parametrize("nbar0", [0.0, 0.22, 0.38])
+    @pytest.mark.parametrize("block_sq, amplitudes", SWEEPS)
+    def test_stack_equals_per_row_calls(self, block_sq, amplitudes, nbar0):
+        stack = weighted_distribution(
+            partial(block_sq, np.array(amplitudes)), nbar0, 20)
+        assert stack.shape == (len(amplitudes), 21)
+        for row, amplitude in zip(stack, amplitudes):
+            np.testing.assert_array_equal(row, weighted_distribution(
+                partial(block_sq, amplitude), nbar0, 20))
+
+    @pytest.mark.parametrize("chunk", [1, 2 * 21 * 12 + 1, 5 * 21 * 12])
+    @pytest.mark.parametrize("block_sq, amplitudes", SWEEPS)
+    def test_sweep_longer_than_a_chunk(self, monkeypatch, block_sq,
+                                       amplitudes, chunk):
+        block_fn = partial(block_sq, np.array(amplitudes))
+        whole = weighted_distribution(block_fn, 0.22, 20)
+        monkeypatch.setattr(spectroscopy, "CHUNK_ELEMENTS", chunk)
+        np.testing.assert_array_equal(
+            weighted_distribution(block_fn, 0.22, 20), whole)
+
+    @pytest.mark.parametrize("block_sq, amplitudes", SWEEPS)
+    def test_sideband_stack_equals_per_row_calls(self, rabi, block_sq,
+                                                 amplitudes):
+        stack = weighted_distribution(
+            partial(block_sq, np.array(amplitudes)), 0.22, 20)
+        out = sideband_populations(stack, rabi)
+        for i, row in enumerate(stack):
+            alone = sideband_populations(row, rabi)
+            assert (out.p_plus[i], out.p_minus[i], out.R[i]) == (
+                alone.p_plus, alone.p_minus, alone.R)
+
+    def test_one_distribution_gives_python_floats(self, rabi):
+        out = sideband_populations(thermal_distribution(0.22, 20), rabi)
+        assert all(type(v) is float for v in (out.p_plus, out.p_minus, out.R))
+
+    def test_stack_rejects_a_degenerate_row(self, rabi):
+        stack = np.vstack((thermal_distribution(0.22, 20), np.zeros(21)))
+        with pytest.raises(ValueError, match="blue-sideband"):
+            sideband_populations(stack, rabi)
+        with pytest.raises(ValueError, match="1-D array"):
+            sideband_populations(stack[None], rabi)
 
 
 class TestSidebandPopulations:
