@@ -17,9 +17,10 @@ from .constants import (HBAR, MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_INDEX,
 from .errors import (SCHEMA_VERSION, ConfigError, check_integer, check_number,
                      check_object, construct, read_json)
 from .figures import FIGURE_IDS, check_overrides
+from .fock import MAX_THERMAL_NBAR0
 from .lattice import TrapParams
 from .selfcheck import oracle_dim_for_displacement, oracle_dim_for_squeeze
-from .spectroscopy import MAX_NBAR0, RabiParams
+from .spectroscopy import RabiParams
 
 DEFAULT_RECOIL_HZ = 2e3
 DEFAULT_LATTICE_WAVENUMBER = math.sqrt(
@@ -104,7 +105,7 @@ def parse_config(doc):
         n_max=check_integer(rabi_doc["n_max"], "rabi.n_max"))
 
     fock_dim = check_integer(top["fock_dim"], "fock_dim", 2, MAX_FOCK_DIM)
-    nbar0 = check_number(top["nbar0"], "nbar0", 0, maximum=MAX_NBAR0)
+    nbar0 = check_number(top["nbar0"], "nbar0", 0, maximum=MAX_THERMAL_NBAR0)
     if not isinstance(top["output_dir"], str) or not top["output_dir"]:
         raise ConfigError("output_dir: expected a nonempty string")
     figure_overrides = {

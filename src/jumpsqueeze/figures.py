@@ -17,7 +17,6 @@ sweeps use the thermal baseline (their fully dephased limit).
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -67,14 +66,13 @@ DEFAULT_CONSTANTS = {
 
 # Domain of each figure constant that has one, as a check and its bounds
 # (a grid from 0 must end above 0); every other constant must be a finite
-# number.  Grid sizes, the largest amplitude of a sweep and fig2d's largest
-# Gaussian exponent are bounded in check_overrides.
+# number.  Grid sizes, the largest nbar0 and amplitude of a sweep and
+# fig2d's largest Gaussian exponent are bounded in check_overrides.
 CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
     "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
     "fock_dim": (check_integer, 2, MAX_FOCK_DIM),
-    "nbar0": (check_number, 0, False, MAX_NBAR0),
-    "periods": (check_number, 0, True),
+    "nbar0": (check_number, 0), "periods": (check_number, 0, True),
     "points_per_period": (check_number, 0, True),
     "envelope_tau_s": (check_number, 0, True),
     "decay_time_s": (check_number, 0, True),
@@ -102,6 +100,11 @@ def check_overrides(figure_id, overrides, trap):
         check, *bounds = CONSTANT_DOMAINS.get(key, (check_number,))
         checked[key] = check(value, f"{where}.{key}", *bounds)
     c = {**DEFAULT_CONSTANTS[figure_id], **checked}
+    # nbar0 as far as its consumer can weight it: fig2d only widens a
+    # Gaussian, fig4a starts a Fock run, the others sum matrix elements
+    if figure_id != "fig2d":
+        check_number(c["nbar0"], f"{where}.nbar0", maximum=(
+            fock.MAX_THERMAL_NBAR0 if figure_id == "fig4a" else MAX_NBAR0))
     if "periods" in c:
         check_number(c["periods"] * c["points_per_period"],
                      f"{where}.periods * points_per_period",
@@ -187,14 +190,13 @@ def build_spec(figure_id, trap, rabi, overrides=None):
 def _squeezed_thermal_R(r_eff, nbar0, rabi):
     """R of the squeezed thermal input at ``r_eff`` (a scalar or one per
     row)."""
-    dist = weighted_distribution(partial(squeeze_block_sq, r_eff), nbar0,
-                                 rabi.n_max)
+    dist = weighted_distribution(squeeze_block_sq, r_eff, nbar0, rabi.n_max)
     return sideband_populations(dist, rabi).R
 
 
 def _displaced_thermal(alphas, nbar0, rabi):
-    return weighted_distribution(
-        partial(displacement_block_sq, np.asarray(alphas)), nbar0, rabi.n_max)
+    return weighted_distribution(displacement_block_sq, alphas, nbar0,
+                                 rabi.n_max)
 
 
 def _squeezed(spec, protocols):

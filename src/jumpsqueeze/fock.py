@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .constants import MAX_DISPLACEMENT, MAX_SQUEEZE_AMPLITUDE
+from .constants import MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_SQUEEZE_AMPLITUDE
 from .errors import TruncationError
 
 DEFAULT_DIM = 64
@@ -288,6 +288,26 @@ def thermal_factor(nbar0, dim):
     p /= p.sum()
     k = np.count_nonzero(p > _RANK_CUT * p[0])  # p falls with n
     return np.eye(dim, k, dtype=complex) * np.sqrt(p[:k])
+
+
+def _max_thermal_nbar0():
+    """Largest mean occupation whose thermal state passes the tail-mass
+    guard in ``MAX_FOCK_DIM`` levels: ``beta / (1 - beta)`` at the edge of
+    the renormalized guard-band mass ``beta^(D-G) (1 - beta^G) / (1 -
+    beta^D) = TAIL_TOL``, which rises with ``beta``, found by bisection."""
+    d, g = MAX_FOCK_DIM, GUARD_BAND
+    lo, hi = 0.0, 1.0
+    while lo < (beta := 0.5 * (lo + hi)) < hi:
+        if beta ** (d - g) * (1.0 - beta ** g) / (1.0 - beta ** d) < TAIL_TOL:
+            lo = beta
+        else:
+            hi = beta
+    return lo / (1.0 - lo)
+
+
+# Largest nbar0 a Fock run can start from: above it the thermal state
+# fails the tail-mass guard at every dimension up to MAX_FOCK_DIM.
+MAX_THERMAL_NBAR0 = _max_thermal_nbar0()
 
 
 def validate_unitary(u):

@@ -4,7 +4,6 @@ phenomenological amplification decoherence model."""
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -104,27 +103,27 @@ def _max_nbar0():
 MAX_NBAR0 = _max_nbar0()
 
 
-def weighted_distribution(block_fn, nbar0, n_max):
+def weighted_distribution(block_sq, amplitudes, nbar0, n_max):
     """Thermal-weighted number distribution
-    ``P_n = sum_l w_l(nbar0) block_fn(n_max, l_max)[n, l]`` for
-    n = 0..n_max, with ``l_max = default_l_max(nbar0)``.
+    ``P_n = sum_l w_l(nbar0) |<n|U(a)|l>|^2`` for n = 0..n_max, with
+    ``l_max = default_l_max(nbar0)``, at each amplitude ``a``: an
+    ``(m, n_max+1)`` stack for a 1-D array of m amplitudes, one
+    distribution for a scalar.
 
-    ``block_fn(n_max, l_max)`` must return the ``(n_max+1) x (l_max+1)``
-    block of squared (column-normalized) matrix elements.  For
-    ``partial(block_sq, amplitudes)`` with a 1-D array of amplitudes the
-    result is one distribution per amplitude, ``(m, n_max+1)``, from
-    ``block_sq``'s stacks of ``CHUNK_ELEMENTS`` elements' worth of rows.
+    ``block_sq(amplitudes, n_max, l_max)`` is a block evaluator of
+    :mod:`.matrix_elements` (``squeeze_block_sq`` or
+    ``displacement_block_sq``); it is called on at most
+    ``CHUNK_ELEMENTS`` elements' worth of amplitudes at a time.
     """
     if nbar0 < 0:
         raise ValueError("mean occupation must be nonnegative")
     l_max = default_l_max(nbar0)
     weights = thermal_weights(nbar0, l_max)
-    if not (isinstance(block_fn, partial) and np.ndim(block_fn.args[0])):
-        return block_fn(n_max, l_max) @ weights
-    block_sq, amplitudes = block_fn.func, block_fn.args[0]
+    batch = np.atleast_1d(amplitudes)
     rows = max(1, CHUNK_ELEMENTS // ((n_max + 1) * (l_max + 1)))
-    return np.concatenate([block_sq(amplitudes[i:i + rows], n_max, l_max)
-                           @ weights for i in range(0, len(amplitudes), rows)])
+    stack = np.concatenate([block_sq(batch[i:i + rows], n_max, l_max)
+                            @ weights for i in range(0, len(batch), rows)])
+    return stack if np.ndim(amplitudes) else stack[0]
 
 
 def sideband_populations(dist, rabi):

@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -256,12 +255,12 @@ def test_criterion_10_property_suite(config, tmp_path):
     shifts = []
     for s, nbar0 in [(0.4, 0.22), (0.7, 0.22), (0.7, 0.38)]:
         dist = weighted_distribution(
-            partial(squeeze_block_sq, s), nbar0, 40)
+            squeeze_block_sq, s, nbar0, 40)
         shifts.append(abs(sideband_populations(dist, rabi40).R
                           - sideband_populations(dist, rabi).R))
     for alpha, nbar0 in [(1.0, 0.22), (2.0, 0.35), (2.5, 0.35)]:
         dist = weighted_distribution(
-            partial(displacement_block_sq, alpha),
+            displacement_block_sq, alpha,
             nbar0, 40)
         shifts.append(abs(sideband_populations(dist, rabi40).R
                           - sideband_populations(dist, rabi).R))

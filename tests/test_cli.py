@@ -378,11 +378,13 @@ class TestConfigHandling:
         ("config", "selfcheck.element_n_max", 512),
         ("config", "fock_dim", 1025),
         ("config", "figure_overrides.fig4a.fock_dim", 1025),
-        # nbar0 whose thermal weights need an index above MAX_INDEX
+        # nbar0 whose thermal start fails the tail-mass guard at
+        # MAX_FOCK_DIM (top level, fig4a) or whose thermal weights need
+        # an index above MAX_INDEX (the matrix-element sums of fig3b)
         ("config", "nbar0", 1e20),
+        ("config", "figure_overrides.fig4a.nbar0", 100),
         ("config", "figure_overrides.fig3b.nbar0", 50),
         ("config", "figure_overrides.fig3b.nbar0", 1e20),
-        ("config", "figure_overrides.fig2d.nbar0", 1.7e308),
     ])
     def test_input_outside_domain_exits_2(self, tmp_path, capsys,
                                           document, key, value):
@@ -432,7 +434,18 @@ class TestConfigHandling:
                          capsys.readouterr().err)
         assert not out.exists()
 
+    def test_fig2d_nbar0_is_bounded_only_by_its_width(self, tmp_path):
+        # fig2d's nbar0 enters only sqrt(2 nbar0 + 1), no thermal sum
+        out = tmp_path / "out"
+        doc = {"figure_overrides": {"fig2d": {"nbar0": 50}}}
+        assert main(["--config", write_json(tmp_path / "cfg.json", doc),
+                     "--out", str(out), "figure", "fig2d"]) == 0
+        assert "# thermal_broadening_factor: 10.0498756\n" in (
+            out / "fig2d.csv").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("doc", [
+        # 2 * nbar0 overflows in the thermal broadening metadata
+        {"figure_overrides": {"fig2d": {"nbar0": 1.7e308}}},
         # 2 * mass * omega1 underflows to 0 in the ground-state extent
         {"trap": {"mass_kg": 1e-300, "omega1_hz": 1e-30}},
     ])
@@ -498,6 +511,18 @@ class TestProtocolRun:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: nbar0: must be <= ")
         assert captured.out == ""
+
+    def test_nbar0_above_the_figure_sums_bound_runs(self, tmp_path, capsys):
+        # MAX_NBAR0 bounds only the figures' thermal sums; a Fock start
+        # at nbar0 30 fits once fock_dim has grown
+        cfg = write_json(tmp_path / "cfg.json", {"nbar0": 30})
+        path = write_json(tmp_path / "empty.json",
+                          {"omega_initial_hz": 93e3, "steps": []})
+        assert main(["--config", cfg, "protocol", "run", path]) == 0
+        captured = capsys.readouterr()
+        assert "raising fock_dim 64 -> " in captured.err
+        doc = json.loads(captured.out)
+        assert doc["fock_dim"] > 64 and 0 < doc["R"] < 1
 
     def test_empty_protocol_gives_thermal_baseline(self, tmp_path, capsys):
         path = write_json(tmp_path / "empty.json",

@@ -11,6 +11,7 @@ from dense_reference import (guard_band_population, ladder_operators,
                              thermal_density_matrix,
                              thermal_truncation_deficit)
 from jumpsqueeze import fock
+from jumpsqueeze.constants import MAX_FOCK_DIM
 from jumpsqueeze.errors import TruncationError
 
 
@@ -191,6 +192,15 @@ class TestThermalState:
     def test_factor_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             fock.thermal_factor(-0.1, 16)
+
+    def test_max_thermal_nbar0_is_the_tail_guard_edge(self):
+        # the closed-form edge agrees with the guard itself to 1e-6
+        edge = fock.MAX_THERMAL_NBAR0
+        dim = MAX_FOCK_DIM
+        fock.factor_populations(fock.thermal_factor(edge * (1 - 1e-6), dim))
+        with pytest.raises(TruncationError, match="tail-mass guard"):
+            fock.factor_populations(
+                fock.thermal_factor(edge * (1 + 1e-6), dim))
 
 
 class TestNumberDistribution:

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ def thermal_distribution(nbar0, n_max):
 
 def displaced_thermal(alpha, nbar0, n_max):
     return weighted_distribution(
-        partial(displacement_block_sq, alpha), nbar0, n_max)
+        displacement_block_sq, alpha, nbar0, n_max)
 
 
 class TestRabiParams:
@@ -38,7 +37,9 @@ class TestRabiParams:
 class TestWeightedDistribution:
     def test_identity_element_returns_thermal(self):
         dist = weighted_distribution(
-            lambda n_max, l_max: np.eye(n_max + 1, l_max + 1), 0.22, 20)
+            lambda amplitudes, n_max, l_max: np.tile(
+                np.eye(n_max + 1, l_max + 1), (len(amplitudes), 1, 1)),
+            0.0, 0.22, 20)
         # the thermal weights stop at default_l_max, where their tail
         # mass falls below 1e-8
         l_max = default_l_max(0.22)
@@ -48,14 +49,14 @@ class TestWeightedDistribution:
 
     def test_squeeze_element_cold_start(self):
         dist = weighted_distribution(
-            partial(squeeze_block_sq, 0.6), 0.0, 12)
+            squeeze_block_sq, 0.6, 0.0, 12)
         expected = [squeeze_matrix_element_sq(n, 0, 0.6) for n in range(13)]
         np.testing.assert_allclose(dist, expected, rtol=1e-12)
 
     def test_displacement_element_cold_start_is_poisson(self):
         alpha = 1.3
         dist = weighted_distribution(
-            partial(displacement_block_sq, alpha), 0.0, 15)
+            displacement_block_sq, alpha, 0.0, 15)
         mean = alpha ** 2
         expected = [math.exp(-mean) * mean ** n / math.factorial(n)
                     for n in range(16)]
@@ -86,27 +87,33 @@ class TestBatchedWeightedDistribution:
     @pytest.mark.parametrize("block_sq, amplitudes", SWEEPS)
     def test_stack_equals_per_row_calls(self, block_sq, amplitudes, nbar0):
         stack = weighted_distribution(
-            partial(block_sq, np.array(amplitudes)), nbar0, 20)
+            block_sq, np.array(amplitudes), nbar0, 20)
         assert stack.shape == (len(amplitudes), 21)
+        l_max = default_l_max(nbar0)
+        weights = thermal_weights(nbar0, l_max)
         for row, amplitude in zip(stack, amplitudes):
-            np.testing.assert_array_equal(row, weighted_distribution(
-                partial(block_sq, amplitude), nbar0, 20))
+            alone = weighted_distribution(block_sq, amplitude, nbar0, 20)
+            assert alone.shape == (21,)
+            np.testing.assert_array_equal(row, alone)
+            # and the plain product of one amplitude's block and weights
+            np.testing.assert_array_equal(
+                row, block_sq(amplitude, 20, l_max) @ weights)
 
     @pytest.mark.parametrize("chunk", [1, 2 * 21 * 12 + 1, 5 * 21 * 12])
     @pytest.mark.parametrize("block_sq, amplitudes", SWEEPS)
     def test_sweep_longer_than_a_chunk(self, monkeypatch, block_sq,
                                        amplitudes, chunk):
-        block_fn = partial(block_sq, np.array(amplitudes))
-        whole = weighted_distribution(block_fn, 0.22, 20)
+        amplitudes = np.array(amplitudes)
+        whole = weighted_distribution(block_sq, amplitudes, 0.22, 20)
         monkeypatch.setattr(spectroscopy, "CHUNK_ELEMENTS", chunk)
         np.testing.assert_array_equal(
-            weighted_distribution(block_fn, 0.22, 20), whole)
+            weighted_distribution(block_sq, amplitudes, 0.22, 20), whole)
 
     @pytest.mark.parametrize("block_sq, amplitudes", SWEEPS)
     def test_sideband_stack_equals_per_row_calls(self, rabi, block_sq,
                                                  amplitudes):
         stack = weighted_distribution(
-            partial(block_sq, np.array(amplitudes)), 0.22, 20)
+            block_sq, np.array(amplitudes), 0.22, 20)
         out = sideband_populations(stack, rabi)
         for i, row in enumerate(stack):
             alone = sideband_populations(row, rabi)
@@ -160,7 +167,7 @@ class TestSidebandPopulations:
         previous = -1.0
         for s in np.linspace(0.0, 1.6, 17):
             dist = weighted_distribution(
-                partial(squeeze_block_sq, s), 0.22, 20)
+                squeeze_block_sq, s, 0.22, 20)
             value = sideband_populations(dist, rabi).R
             assert value > previous
             previous = value
@@ -168,9 +175,9 @@ class TestSidebandPopulations:
     def test_sign_symmetric_in_amplitude(self, rabi):
         for s in (0.4, 1.0, 1.5):
             plus = weighted_distribution(
-                partial(squeeze_block_sq, s), 0.22, 20)
+                squeeze_block_sq, s, 0.22, 20)
             minus = weighted_distribution(
-                partial(squeeze_block_sq, -s), 0.22, 20)
+                squeeze_block_sq, -s, 0.22, 20)
             r_plus = sideband_populations(plus, rabi).R
             r_minus = sideband_populations(minus, rabi).R
             assert r_plus == pytest.approx(r_minus, rel=1e-10)
@@ -183,12 +190,12 @@ class TestSidebandPopulations:
         rabi40 = RabiParams(rabi.omega01, rabi.gamma, rabi.pulse_t, n_max=40)
         states = [
             weighted_distribution(
-                partial(squeeze_block_sq, s), nbar0, 40)
+                squeeze_block_sq, s, nbar0, 40)
             for s, nbar0 in [(0.0, 0.22), (0.4, 0.22), (0.75, 0.22),
                              (0.7, 0.38)]
         ] + [
             weighted_distribution(
-                partial(displacement_block_sq, a), nbar0, 40)
+                displacement_block_sq, a, nbar0, 40)
             for a, nbar0 in [(1.0, 0.22), (2.0, 0.38), (2.5, 0.35)]
         ]
         for dist in states:
@@ -202,7 +209,7 @@ class TestSidebandPopulations:
         m = squeezed_thermal_moments(0.22, 1.3)
         assert m.nbar_st + m.dnbar_st == pytest.approx(11.2, abs=0.1)
         dist = weighted_distribution(
-            partial(squeeze_block_sq, 1.3), 0.22, 40)
+            squeeze_block_sq, 1.3, 0.22, 40)
         r20 = sideband_populations(dist, rabi).R
         r40 = sideband_populations(
             dist, RabiParams(rabi.omega01, rabi.gamma, rabi.pulse_t, 40)).R
