@@ -15,6 +15,7 @@ overrides both.
 
 import argparse
 import cmath
+import functools
 import json
 import os
 import sys
@@ -113,7 +114,10 @@ def cmd_selfcheck(args, config):
     return 0 if passed else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged and returns a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="jumpsqueeze",
         description="Frequency-jump squeezing simulator and figure toolkit")
@@ -144,8 +148,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         return args.func(args, config)

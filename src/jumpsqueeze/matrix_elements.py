@@ -49,6 +49,12 @@ def _amplitudes(values, name, valid, kind=lambda v: v):
     return values
 
 
+def _distinct(indices):
+    """The distinct values of a nonnegative integer array, sorted (what
+    ``np.unique`` gives, without its import of ``numpy.ma``)."""
+    return np.flatnonzero(np.bincount(indices.ravel()))
+
+
 def _unstack(amplitudes, stack):
     """``stack``, whose last axis runs over the amplitudes, with that axis
     moved first as a C-contiguous array, or its one entry if
@@ -66,7 +72,7 @@ def _squeeze_sq(r, n, l):
     t2 = [math.tanh(v) ** 2 for v in rs]
     low, diff = np.minimum(n, l), np.abs(n - l)
     column = diff - diff % 2 + low % 2
-    needed = np.unique(column)
+    needed = _distinct(column)
     d, p = np.divmod(needed, 2)  # entries n = 2j + p, l = n + 2d
     # Jacobi parameters, one row per column of the recurrence
     a, b = d.astype(float)[:, None], (p - 0.5)[:, None]
@@ -103,7 +109,7 @@ def _displacement_sq(alpha, n, l):
         and math.isfinite(v.imag) and abs(v) <= MAX_DISPLACEMENT, complex)]
     x = np.array(xs)
     low, diff = np.minimum(n, l), np.abs(n - l)
-    k = np.unique(diff)
+    k = _distinct(diff)
     # f[j, k] = |<j+k|D|j>|, one column per amplitude, with f[0] =
     # sqrt(x^k exp(-x) / k!) as a product that cannot overflow; the
     # f[j - 1] term vanishes at j = 0.  Coefficients free of x are tabled.

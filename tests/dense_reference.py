@@ -57,3 +57,15 @@ def guard_band_population(rho):
     """Population in the top ``GUARD_BAND`` levels of a density matrix."""
     diag = np.real(np.diag(rho))
     return float(diag[len(diag) - GUARD_BAND:].sum())
+
+
+def plane_wave_characteristic_values(q, sector, fourier_order):
+    """Every eigenvalue of the full plane-wave Mathieu matrix, ascending.
+
+    The basis is ``exp(i m x)`` with ``m = 2k`` for |k| <= fourier_order
+    (sector 0) or odd ``m`` with |m| <= 2 fourier_order + 1 (sector 1),
+    the matrix ``diag(m^2)`` plus ``q`` between neighbouring ``m``.
+    """
+    ms = np.arange(-2 * fourier_order - sector, 2 * fourier_order + 2, 2)
+    coupling = q * (np.eye(len(ms), k=1) + np.eye(len(ms), k=-1))
+    return np.linalg.eigvalsh(np.diag(ms ** 2.0) + coupling)

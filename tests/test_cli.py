@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -143,6 +144,55 @@ def proto_file(tmp_path):
         ],
     }
     return write_json(tmp_path / "double_jump.json", doc)
+
+
+class TestParser:
+    def test_built_once_per_process(self, proto_file, capsys):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        built = cli.build_parser.cache_info().misses
+        assert main(["protocol", "run", proto_file]) == 0
+        assert main(["selfcheck"]) == 0
+        assert cli.build_parser.cache_info().misses == built
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, proto_file,
+                                                          capsys):
+        assert main(["protocol", "run", proto_file]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["figure"])
+        assert exc.value.code == 2
+        assert "required: ID" in capsys.readouterr().err
+        assert main(["protocol", "run", proto_file]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["figure", "--help"], ["protocol", "--help"],
+        ["protocol", "run", "--help"], ["selfcheck", "--help"], [],
+        ["figure"], ["protocol"], ["bogus"], ["--config"]])
+    def test_exits_like_a_fresh_parser(self, argv, capsys):
+        """Help, usage errors and their exit codes are those of a parser
+        built for this call alone."""
+        def exit_of(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            return exc.value.code, capsys.readouterr()
+        cached = exit_of(main)
+        assert cached == exit_of(cli.build_parser.__wrapped__().parse_args)
+        assert cached[0] == (0 if "--help" in argv else 2)
+
+    def test_documented_command_lines_parse(self):
+        """Every ``jumpsqueeze`` line of the README and of the CI workflow,
+        which runs the installed console script, is a valid command line."""
+        lines = [line.split("#")[0].strip()
+                 for doc in ("README.md", ".github/workflows/tests.yml")
+                 for line in (PERFBENCH.parent / doc).read_text(
+                     encoding="utf-8").splitlines()]
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("jumpsqueeze ")]
+        assert len(commands) == 7
+        for argv in commands:
+            assert cli.build_parser().parse_args(argv).func
 
 
 class TestFigureCommand:
@@ -723,36 +773,50 @@ class TestSelfcheck:
                    for line in lines) == 2
 
 
-# Runs every command in a fresh interpreter and fails if any of them
-# imported SciPy.
-NO_SCIPY_SCRIPT = """
+# Runs every command, with the figures named in its last argument, in a
+# fresh interpreter and prints the names of the modules it then holds.
+FRESH_COMMANDS_SCRIPT = """
 import sys
 from jumpsqueeze import cli
 from jumpsqueeze.config import load_config
 from jumpsqueeze.protocol import builtin_protocol, save_protocol
-out, cfg = sys.argv[1:]
+out, cfg, figures = sys.argv[1:]
 save_protocol(builtin_protocol("amplify", load_config().trap, alpha_i=0.5,
                                r=0.2), out + "/proto.json")
 for argv in (["protocol", "run", out + "/proto.json"],
-             ["--config", cfg, "--out", out, "figure", "fig4a"],
+             *(["--config", cfg, "--out", out, "figure", figure_id]
+               for figure_id in figures.split(",")),
              ["--config", cfg, "selfcheck"]):
     assert cli.main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-assert not loaded, loaded
+print(*sorted(sys.modules))
 """
 
 
-def test_commands_run_without_scipy(tmp_path):
+def _modules_after_commands(tmp_path, figure_ids):
     cfg = write_json(tmp_path / "cfg.json", {
         "figure_overrides": {"fig4a": {"periods": 0.1}},
         "selfcheck": {"element_r_values": [0.3], "element_alpha_values": [0.5],
                       "element_n_max": 4, "state_amplitudes": [0.2]}})
     src = Path(jumpsqueeze.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), cfg],
+        [sys.executable, "-c", FRESH_COMMANDS_SCRIPT, str(tmp_path), cfg,
+         ",".join(figure_ids)],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    loaded = _modules_after_commands(tmp_path, ["fig4a"])
+    assert not [m for m in loaded if m.startswith("scipy")]
+
+
+def test_commands_run_without_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma (15 ms) on first use; no command does."""
+    loaded = _modules_after_commands(tmp_path, ["fig2b", "fig4a"])
+    assert not [m for m in loaded
+                if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
 def test_fig4a_matches_dense_route(tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from dense_reference import plane_wave_characteristic_values
 
-from jumpsqueeze._mathieu import bound_level_count, lattice_levels
+from jumpsqueeze._mathieu import (bound_level_count, characteristic_values,
+                                  lattice_levels)
 from jumpsqueeze.constants import HBAR, RB85_MASS, TWO_PI
 from jumpsqueeze.lattice import (TrapParams, bound_state_count,
                                  coherent_alpha_from_shift, energy_gap,
@@ -55,6 +58,41 @@ class TestMathieuEnergy:
     def test_rejects_shallow_lattice(self):
         with pytest.raises(ValueError):
             mathieu_energy(0, 0.5)
+
+
+class TestCharacteristicValues:
+    @pytest.mark.parametrize("fourier_order", [80, 120])
+    @pytest.mark.parametrize("sector", [0, 1])
+    @pytest.mark.parametrize("q", [0.0, 1.0, Q_DEFAULT, 400.0])
+    def test_matches_dense_plane_wave_matrix(self, q, sector, fourier_order):
+        dense = plane_wave_characteristic_values(q, sector, fourier_order)
+        split = characteristic_values(q, sector, len(dense) + 5,
+                                      fourier_order)
+        assert len(split) == len(dense) == 2 * fourier_order + 1 + sector
+        # relative to the spectrum's scale: the dense solve itself is only
+        # good to about 1e-10 absolute at the low values
+        assert np.max(np.abs(split - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("sector", [0, 1])
+    def test_free_values_are_exact(self, sector):
+        ks = np.arange(-80 - sector, 81)
+        assert np.array_equal(characteristic_values(0.0, sector, 1000),
+                              np.sort((2.0 * ks + sector) ** 2))
+
+    @pytest.mark.parametrize("q, sector, expected", [
+        # a_0, b_2, a_2 (sector 0) and b_1, a_1 (sector 1) at q = 1 and 10,
+        # from a 30-digit solve of the plane-wave matrix at fourier_order 30
+        (1.0, 0, [-0.455138604107, 3.917024772998, 4.371300982735]),
+        (1.0, 1, [-0.110248816992, 1.859108072514]),
+        (10.0, 0, [-13.936979956659, -2.382158235957, 7.717369849780]),
+        (10.0, 1, [-13.936552479250, -2.399142400036])])
+    def test_high_precision_values(self, q, sector, expected):
+        values = characteristic_values(q, sector, len(expected), 120)
+        assert np.max(np.abs(values - expected)) < 1e-11
+
+    def test_rejects_other_sectors(self):
+        with pytest.raises(ValueError, match="sector"):
+            characteristic_values(Q_DEFAULT, 2, 4)
 
 
 class TestEnergyGap:
