@@ -13,6 +13,10 @@ import math
 
 import numpy as np
 
+# levels and plane-wave order of the bound-state count
+BOUND_LEVELS = 200
+BOUND_FOURIER_ORDER = 120
+
 
 def _tridiagonal_values(diagonal, off_diagonal):
     """Ascending eigenvalues of a real symmetric tridiagonal matrix."""
@@ -57,7 +61,10 @@ def lattice_levels(q, n_levels, fourier_order=80):
     return pair_means + 2.0 * q
 
 
-def bound_level_count(q, max_levels=200, fourier_order=120):
-    """Number of diagonalized levels with E <= V0 (= 4 q E_R)."""
-    levels = lattice_levels(q, max_levels, fourier_order)
+def bound_level_count(q, levels=None):
+    """Number of diagonalized levels with E <= V0 (= 4 q E_R), among
+    ``levels`` if given, else among ``lattice_levels(q, BOUND_LEVELS,
+    BOUND_FOURIER_ORDER)``."""
+    if levels is None:
+        levels = lattice_levels(q, BOUND_LEVELS, BOUND_FOURIER_ORDER)
     return int(np.sum(levels <= 4.0 * q))

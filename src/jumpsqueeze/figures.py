@@ -306,8 +306,8 @@ def _fig4a(spec):
     prepared = run_fock(proto, trap, fock.thermal_factor(c["nbar0"], dim))
     populations = fock.evolution_populations(
         fock.displacement_operator_exact(-alpha_i, dim), prepared.final_factor)
-    return {"R": sideband_populations(np.array(
-        [populations(trap.omega1, tau) for tau in spec.sweep]), rabi).R}, {
+    return {"R": sideband_populations(
+        populations(trap.omega1, spec.sweep), rabi).R}, {
         "oscillation_period_s": TWO_PI / trap.omega1, "fock_dim": dim}
 
 

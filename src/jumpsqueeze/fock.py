@@ -202,25 +202,33 @@ def _displacement_step(alpha, dim):
             0.5 * math.pi + cmath.phase(alpha), -abs(alpha))
 
 
-def _dense_operator(basis, angle, scale, dim):
-    """The dense ``U = P W P^dag`` on ``dim`` levels: ``P = diag(exp(i
-    angle n))`` and the blocks ``W = V diag(exp(i scale lambda)) V^T`` of
+def _dense_operator(basis, angle, scale, dim, size=None):
+    """The leading ``size x size`` block (all of it for ``None``) of the
+    dense ``U = P W P^dag`` on ``dim`` levels: ``P = diag(exp(i angle
+    n))`` and the blocks ``W = V diag(exp(i scale lambda)) V^T`` of
     ``basis``, each from one real x complex product on the float view (the
-    real ``V`` is never upcast).  At ``scale == 0`` ``W`` is the identity,
-    which ``V V^T`` would reproduce only to round-off."""
-    phases = np.exp(1j * angle * np.arange(dim))
+    real ``V`` is never upcast).  Only the leading rows of ``V`` enter,
+    ``V[:s] diag(...) V[:s]^T`` per block, so a block costs ``d s^2``, not
+    ``d^3``.  At ``scale == 0`` ``U`` is exactly the identity, which ``V
+    V^T`` or ``P P^dag`` would reproduce only to round-off."""
+    size = dim if size is None else size
+    if not 1 <= size <= dim:
+        raise ValueError(f"block size must lie in 1..{dim}, got {size}")
     if scale == 0:
-        return phases[:, None] * np.eye(dim, dtype=complex) * phases.conj()
-    out = np.zeros((dim, dim), dtype=complex)
+        return np.eye(size, dtype=complex)
+    phases = np.exp(1j * angle * np.arange(size))
+    out = np.zeros((size, size), dtype=complex)
     for levels, lam, vt in basis:
-        rows = np.exp(1j * scale * lam)[:, None] * vt
-        w = (vt.T @ rows.view(np.float64)).view(complex)
-        p = phases[levels]
-        out[levels, levels] = p[:, None] * w * p.conj()
+        lead = slice(levels.start, size, levels.step)
+        p = phases[lead]
+        v = vt[:, :len(p)]
+        rows = np.exp(1j * scale * lam)[:, None] * v
+        w = (v.T @ rows.view(np.float64)).view(complex)
+        out[lead, lead] = p[:, None] * w * p.conj()
     return out
 
 
-def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
+def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM, size=None):
     """Unitary squeeze operator S(xi) with xi = r * exp(2i*theta).
 
     The exponential of ``(conj(xi) a^2 - xi adag^2) / 2`` on the truncated
@@ -235,36 +243,46 @@ def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM):
         Squeeze angle in radians (0 squeezes position).
     dim : int
         Truncation dimension.
+    size : int or None
+        Number of leading levels to return, ``1 <= size <= dim``: the
+        ``size x size`` corner of the ``dim``-level operator, built in
+        ``dim size^2`` work; ``None`` returns the whole operator.
 
     Raises
     ------
     ValueError
-        If ``|r|`` exceeds the supported amplitude range.
+        If ``|r|`` exceeds the supported amplitude range, or ``size`` lies
+        outside ``1..dim``.
     TruncationError
         If ``dim`` cannot hold the squeezed vacuum within the tail-mass
         rule; carries an advisory minimum dimension.
     """
-    return _dense_operator(*_squeeze_step(r, theta, dim), dim)
+    return _dense_operator(*_squeeze_step(r, theta, dim), dim, size)
 
 
-def displacement_operator_exact(alpha, dim=DEFAULT_DIM):
+def displacement_operator_exact(alpha, dim=DEFAULT_DIM, size=None):
     """Unitary displacement operator ``exp(alpha adag - conj(alpha) a)``,
     built as ``P V diag(exp(-i |alpha| lambda)) V^T P^dag`` with ``P =
     diag(exp(i (pi/2 + arg alpha) n))`` from the cached
-    :func:`displacement_basis`.
+    :func:`displacement_basis`; ``size`` selects the leading block as
+    for :func:`squeeze_operator_exact`.
 
     Raises like :func:`squeeze_operator_exact`, with the tail rule
     evaluated on the Poisson distribution of D(alpha)|0>.
     """
-    return _dense_operator(*_displacement_step(alpha, dim), dim)
+    return _dense_operator(*_displacement_step(alpha, dim), dim, size)
 
 
 def _free_evolution_phases(omega, tau, dim):
+    """``exp(-i n omega tau)`` for ``n < dim``, with one row per entry of a
+    1-D array ``tau``."""
     if omega <= 0:
         raise ValueError(f"frequency must be positive, got {omega}")
-    if tau < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {tau}")
-    return np.exp(-1j * np.arange(dim) * omega * tau)
+    tau = np.asarray(tau)
+    if tau.min() < 0:
+        raise ValueError(
+            f"evolution time must be nonnegative, got {tau.min()}")
+    return np.exp(tau[..., None] * (-1j * np.arange(dim) * omega))
 
 
 def free_evolution_operator(omega, tau, dim=DEFAULT_DIM):
@@ -441,14 +459,17 @@ def evolution_populations(u, m):
     tau)`` with ``c[k, i] = sum_j u[i, j] rho[j, j-k] conj(u[i, j-k])``,
     ``w_0 = 1`` and ``w_k = 2`` (``rho`` is Hermitian, so the ``-k`` terms
     conjugate the ``k`` ones): one ``d^3`` build of ``c``, then ``d^2``
-    work per call.
+    work per ``tau``.  A scalar ``tau`` gives one distribution, a 1-D array
+    of them the stack of their distributions, from one product of their
+    phase rows with ``c``.
 
     ``u`` is checked once, by :func:`validate_unitary`.  ``rho`` and every
     ``u rho_tau u^dag`` are Gram matrices ``A A^dag`` (``A = M``, ``u F
     M``), Hermitian and positive semidefinite for any ``A`` (Sylvester), so
-    none needs a factorization.  Each call checks the populations' sum
-    against ``|M|_F^2`` and their tail like :func:`apply_unitary` and that
-    none is below the eigenvalue tolerance, then clips them at zero.
+    none needs a factorization.  Each distribution's sum is checked
+    against ``|M|_F^2`` and its tail like :func:`apply_unitary`, and none
+    of its populations may lie below the eigenvalue tolerance; then all
+    are clipped at zero.
     """
     validate_unitary(u)
     u, rho = _operator_and_state(u, density_from_factor(m))
@@ -461,10 +482,11 @@ def evolution_populations(u, m):
     c[1:] *= 2.0
 
     def populations(omega, tau):
-        probs = _checked_populations(
-            trace, (_free_evolution_phases(omega, tau, dim) @ c).real)
-        if probs.min() < _EIGENVALUE_TOL:
-            raise ValueError(f"negative population {probs.min():.3e}")
+        probs = (_free_evolution_phases(omega, tau, dim) @ c).real
+        for row in np.atleast_2d(probs):
+            _checked_populations(trace, row)
+            if row.min() < _EIGENVALUE_TOL:
+                raise ValueError(f"negative population {row.min():.3e}")
         return np.clip(probs, 0.0, None, out=probs)
     return populations
 

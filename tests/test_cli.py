@@ -11,16 +11,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import jumpsqueeze
-from jumpsqueeze import cli, fock
+from jumpsqueeze import cli, fock, selfcheck
+from jumpsqueeze._mathieu import bound_level_count, lattice_levels
 from jumpsqueeze.cli import main
 from jumpsqueeze.config import default_config_dict, load_config, parse_config
 from jumpsqueeze.constants import MAX_FOCK_DIM, MAX_JUMP_COUNT
+from jumpsqueeze.errors import TruncationError
 from jumpsqueeze.figures import DEFAULT_CONSTANTS, FIGURE_IDS
+from jumpsqueeze.lattice import mathieu_energy
+from jumpsqueeze.matrix_elements import (displacement_block_sq,
+                                         squeeze_block_sq)
 from jumpsqueeze.protocol import builtin_protocol, run_fock, save_protocol
 from jumpsqueeze.selfcheck import check_mathieu
 from jumpsqueeze.spectroscopy import sideband_populations
@@ -277,6 +283,42 @@ class TestFigureCommand:
         assert "ratio 1.120" in line and "within_bound False" in line
         assert not any(row["unresolved"] for row in (wall, rss, rate))
         assert "unresolved False" in line
+
+    def test_bench_ab_gives_every_run_a_fresh_bytecode_cache(
+            self, monkeypatch):
+        bench_ab = _benchmark_module("bench_ab", TOOLS)
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            cache = kwargs["env"]["PYTHONPYCACHEPREFIX"]
+            calls.append((argv, kwargs["env"], os.listdir(cache)))
+            Path(cache, f"module{len(calls)}.pyc").write_bytes(b"")
+            lines = [json.dumps({"env": {}}), json.dumps({"metrics": {}})]
+            return subprocess.CompletedProcess(argv, 0, "\n".join(lines), "")
+        monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+        for checkout in ("parent", "change"):
+            assert bench_ab._run(checkout, "figure_all", 11)["seed"] == 11
+        rest = {key: value for key, value in os.environ.items()
+                if key != "PYTHONPYCACHEPREFIX"}
+        assert len(calls) == 4
+        caches = []
+        for i in (0, 2):
+            (fill, fill_env, before_fill), (timed, env, before_timed) = \
+                calls[i:i + 2]
+            caches.append(env["PYTHONPYCACHEPREFIX"])
+            # an untimed set-up, allowed to write bytecode, fills the
+            # run's empty cache, and only the timed run reads it
+            assert fill[-1] == "--setup-probe" and "--seconds" in timed
+            assert fill_env["PYTHONPYCACHEPREFIX"] == caches[-1]
+            assert "PYTHONDONTWRITEBYTECODE" not in fill_env
+            assert before_fill == []
+            assert before_timed == [f"module{i + 1}.pyc"]
+            assert not os.path.exists(caches[-1])
+            # the timed run's environment is the caller's plus the cache
+            assert {key: value for key, value in env.items()
+                    if key != "PYTHONPYCACHEPREFIX"} == rest
+        assert caches[0] != caches[1]
 
     def test_bench_ab_summary_reports_unresolved(self):
         # a spread wider than the bound leaves a metric unresolved unless
@@ -771,6 +813,75 @@ class TestSelfcheck:
         assert sum(line.startswith("pass  lattice level expansion")
                    or line.startswith("pass  bound-state count")
                    for line in lines) == 2
+
+    @pytest.mark.parametrize("grid", ["default", "seeded"])
+    def test_batched_element_check_is_the_per_amplitude_maximum(
+            self, config, grid):
+        sc = config.selfcheck
+        r_values, alpha_values = sc["element_r_values"], sc[
+            "element_alpha_values"]
+        if grid == "seeded":
+            rng = np.random.default_rng(11)
+            r_values = list(rng.uniform(-1.6, 1.6, 6))
+            alpha_values = list(rng.uniform(0.3, 3.0, 3))
+        for values, block_sq, operator, oracle_dim in (
+                (r_values, squeeze_block_sq, fock.squeeze_operator_exact,
+                 selfcheck.oracle_dim_for_squeeze),
+                (alpha_values, displacement_block_sq,
+                 fock.displacement_operator_exact,
+                 selfcheck.oracle_dim_for_displacement)):
+            def worst(amplitudes):
+                return selfcheck._worst_element_deviation(
+                    amplitudes, 20, block_sq, operator, oracle_dim)
+            batched = worst(values)
+            assert batched == max(worst([v]) for v in values)
+            assert 0.0 < batched < selfcheck.ELEMENT_TOL
+
+    @pytest.mark.parametrize("key, oracle_dim, amplitude, build", [
+        ("element_r_values", "oracle_dim_for_squeeze", 1.6,
+         fock.squeeze_operator_exact),
+        ("element_alpha_values", "oracle_dim_for_displacement", 3.0,
+         fock.displacement_operator_exact)])
+    def test_undersized_oracle_fails_its_check_by_the_tail_guard(
+            self, tmp_path, capsys, monkeypatch, key, oracle_dim, amplitude,
+            build):
+        monkeypatch.setattr(selfcheck, oracle_dim, lambda value, n_max: 32)
+        with pytest.raises(TruncationError) as guard:
+            build(amplitude, dim=32)
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              {"selfcheck": {key: [0.5, amplitude]}})
+        assert main(["--config", cfg_path, "selfcheck"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        name = "squeeze" if key == "element_r_values" else "displacement"
+        assert failed == [
+            f"FAIL  {name} matrix elements vs exact exponential: worst "
+            f"deviation inf (tolerance 1.000e-08)  [tail-mass guard: "
+            f"{guard.value.args[0]}]"]
+
+    def test_mathieu_lines_at_the_default_trap(self, config):
+        assert [r.line() for r in check_mathieu(config.trap)] == [
+            "pass  lattice level expansion vs diagonalization (E/E_R, "
+            "n <= 6): worst deviation 3.710e-01 (tolerance 5.000e-01)",
+            "pass  bound-state count expansion vs diagonalization: worst "
+            "deviation 1.000e+00 (tolerance 1.000e+00)  [harmonic 11, "
+            "expansion 14, diagonalization 15]"]
+
+    @pytest.mark.parametrize("q", [1.0, 10.0, 400.0])
+    def test_mathieu_levels_agree_with_the_lower_fourier_order(self, config,
+                                                              q):
+        # the level check reads the bound count's diagonalization, which
+        # agrees with a separate order-80 solve of the lowest levels
+        trap = parse_config({"trap": {"v0_hz": default_config_dict()[
+            "trap"]["v0_hz"] * q / config.trap.depth_parameter}}).trap
+        q = trap.depth_parameter
+        order_80 = lattice_levels(q, 8)
+        expected = max(abs(mathieu_energy(n, q) - order_80[n])
+                       for n in range(7))
+        level_check, count_check = check_mathieu(trap)
+        assert level_check.worst == pytest.approx(expected, rel=0, abs=1e-9)
+        assert count_check.detail.endswith(
+            f"diagonalization {bound_level_count(q)}")
 
 
 # Runs every command, with the figures named in its last argument, in a

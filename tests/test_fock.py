@@ -292,6 +292,17 @@ FACTORS = {"thermal": partial(fock.thermal_factor, 0.15),
            "mixture": lambda dim: fock.density_factor(_coherent_mixture(dim))}
 
 
+def _assert_raises_alike(expected, *calls):
+    """Each of ``calls`` raises the error type, message and advisory
+    ``min_dim`` of the ``pytest.raises`` info ``expected``."""
+    for call in calls:
+        with pytest.raises(expected.type) as got:
+            call()
+        assert str(got.value) == str(expected.value)
+        assert getattr(got.value, "min_dim", None) == getattr(
+            expected.value, "min_dim", None)
+
+
 class TestCachedBases:
     """The operators built from the cached real eigenbases against the
     exponential of the dense complex generator, and the factor steps
@@ -347,6 +358,35 @@ class TestCachedBases:
                 _gram(fock.apply_free_evolution(omega, tau, m))
                 - dense)) < 1e-12
 
+    # odd dimensions give parity blocks of unequal size
+    @pytest.mark.parametrize("dim", [64, 161, 512])
+    @pytest.mark.parametrize("size", [1, 2, 21, 64])
+    def test_leading_block_matches_the_full_operator(self, dim, size):
+        builds = [partial(fock.squeeze_operator_exact, r, theta, dim)
+                  for r, theta in ((0.4, 0.0), (-0.9, 0.3), (1.1, -1.2))]
+        builds += [partial(fock.displacement_operator_exact, alpha, dim)
+                   for alpha in (0.7 * np.exp(0.4j), -1.3, 2.5j)]
+        for build in builds:
+            full, block = build(), build(size=size)
+            assert block.shape == (size, size)
+            assert np.max(np.abs(block - full[:size, :size])) <= 1e-15
+            # the whole operator is the default, bit for bit
+            assert np.array_equal(build(size=dim), full)
+        # a zero amplitude gives the exact identity, of any size
+        for zero in (partial(fock.squeeze_operator_exact, 0.0, 0.7, dim),
+                     partial(fock.displacement_operator_exact, 0.0, dim)):
+            assert np.array_equal(zero(size=size), np.eye(size))
+            assert np.array_equal(zero(), np.eye(dim))
+
+    @pytest.mark.parametrize("size", [0, -1, 65])
+    def test_block_size_outside_the_dimension_is_rejected(self, size):
+        for build in (partial(fock.squeeze_operator_exact, 0.4, 0.0, 64),
+                      partial(fock.displacement_operator_exact, 1.3, 64),
+                      partial(fock.squeeze_operator_exact, 0.0, 0.0, 64)):
+            with pytest.raises(ValueError, match="block size must lie in "
+                               f"1..64, got {size}"):
+                build(size=size)
+
     def test_thermal_state_reaches_subnormal_and_zero_populations(self):
         p = np.diag(FACTOR_STATES["thermal"](512)).real
         tiny = np.finfo(float).tiny
@@ -380,11 +420,11 @@ class TestCachedBases:
     def test_squeeze_paths_raise_alike(self, amplitude, dim):
         with pytest.raises((ValueError, TruncationError)) as dense:
             fock.squeeze_operator_exact(amplitude, 0.0, dim)
-        with pytest.raises(dense.type) as structured:
-            fock.apply_squeeze(amplitude, fock.thermal_factor(0.0, dim))
-        assert str(structured.value) == str(dense.value)
-        assert getattr(structured.value, "min_dim", None) == getattr(
-            dense.value, "min_dim", None)
+        _assert_raises_alike(
+            dense, partial(fock.squeeze_operator_exact, amplitude, 0.0, dim,
+                           size=min(dim, 21)),
+            partial(fock.apply_squeeze, amplitude,
+                    fock.thermal_factor(0.0, dim)))
 
     @pytest.mark.parametrize("alpha, dim", [
         (6.5, 64), (4.0 + 5.0j, 64), (complex(float("inf"), 0.0), 64),
@@ -392,11 +432,11 @@ class TestCachedBases:
     def test_displacement_paths_raise_alike(self, alpha, dim):
         with pytest.raises((ValueError, TruncationError)) as dense:
             fock.displacement_operator_exact(alpha, dim)
-        with pytest.raises(dense.type) as structured:
-            fock.apply_displacement(alpha, fock.thermal_factor(0.0, dim))
-        assert str(structured.value) == str(dense.value)
-        assert getattr(structured.value, "min_dim", None) == getattr(
-            dense.value, "min_dim", None)
+        _assert_raises_alike(
+            dense, partial(fock.displacement_operator_exact, alpha, dim,
+                           size=min(dim, 21)),
+            partial(fock.apply_displacement, alpha,
+                    fock.thermal_factor(0.0, dim)))
 
     def test_out_of_range_amplitude_fails_fast(self):
         # the amplitude bound is checked before the dimension search, which
@@ -525,6 +565,22 @@ class TestEvolutionPopulations:
             got = populations(self.OMEGA, tau)
             assert np.max(np.abs(got - self._dense(u, rho, tau))) < 1e-12
 
+    def test_a_time_array_gives_the_stack_of_its_distributions(self):
+        dim = 161
+        u = fock.displacement_operator_exact(-0.6 + 0.1j, dim)
+        populations = fock.evolution_populations(
+            u, fock.apply_squeeze(0.5, fock.thermal_factor(0.3, dim)))
+        taus = np.linspace(0.0, 3.0, 13) * 2 * math.pi / self.OMEGA
+        stack = populations(self.OMEGA, taus)
+        assert stack.shape == (13, dim)
+        for tau, row in zip(taus, stack):
+            single = populations(self.OMEGA, tau)
+            assert single.shape == (dim,)
+            assert np.max(np.abs(row - single)) < 1e-15
+        with pytest.raises(ValueError, match="evolution time must be "
+                           "nonnegative, got -1e-09"):
+            populations(self.OMEGA, np.array([0.0, -1e-9, 1e-6]))
+
     def test_rejects_non_unitary_operator(self):
         u = 1.001 * fock.displacement_operator_exact(0.5, 64)
         with pytest.raises(ValueError, match="not unitary"):
@@ -547,6 +603,11 @@ class TestEvolutionPopulations:
             populations(self.OMEGA, 0.0)
         assert "tail-mass guard" in str(series.value)
         assert series.value.min_dim == dense.value.min_dim > 64
+        # so does a time array in which only that row fails
+        period = 2 * math.pi / self.OMEGA
+        with pytest.raises(TruncationError) as rows:
+            populations(self.OMEGA, np.array([0.25, 0.5, 1.0]) * period)
+        assert str(rows.value) == str(series.value)
 
 
 class TestValidateDensity:

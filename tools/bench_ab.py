@@ -5,7 +5,10 @@
 
 Each ``WORKLOAD:FIRST-LAST`` runs one pair per seed: ``perfbench/run.py
 --workload WORKLOAD --seed SEED --seconds 25 --trace 0`` in both
-checkouts, alternating which side runs first from pair to pair.  The
+checkouts, alternating which side runs first from pair to pair.  Each
+run gets its own fresh, empty ``PYTHONPYCACHEPREFIX`` bytecode cache,
+filled by one untimed set-up of that run, so that neither side reads a
+cache the other lacks.  The
 output keeps the last two lines of every run (the report line and the
 result line) and, per workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, how many pairs
@@ -25,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SECONDS = 25
@@ -32,10 +36,22 @@ SIDES = ("parent", "change")
 
 
 def _run(checkout, workload, seed):
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False)
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed)]
+    with tempfile.TemporaryDirectory(prefix="bench_ab_pycache_") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        # one untimed set-up fills the run's own cache, also where
+        # PYTHONDONTWRITEBYTECODE is set: from an empty cache every set-up
+        # compiles numpy and the package from source (about 0.52 s
+        # instead of 0.13 s), whose spread hides changes in import time
+        subprocess.run(argv + ["--setup-probe"], cwd=checkout,
+                       capture_output=True, check=False, env={
+                           key: value for key, value in env.items()
+                           if key != "PYTHONDONTWRITEBYTECODE"})
+        proc = subprocess.run(
+            argv + ["--seconds", str(SECONDS), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, check=False,
+            env=env)
     lines = proc.stdout.strip().splitlines()[-2:]
     if proc.returncode != 0 or len(lines) != 2:
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited "
