@@ -43,17 +43,21 @@ def _output_dir(args, config):
 def cmd_figure(args, config):
     figure_ids = FIGURE_IDS if args.figure_id == "all" else (args.figure_id,)
     out_dir = _output_dir(args, config)
+    # every table is built before any is written: a refused input writes none
+    built = []
     for figure_id in figure_ids:
         started = time.perf_counter()
-        spec = build_spec(figure_id, config.trap, config.rabi,
-                          config.figure_overrides.get(figure_id))
-        table = generate(spec)
+        table = generate(build_spec(figure_id, config.trap, config.rabi,
+                                    config.figure_overrides.get(figure_id)))
+        built.append((figure_id, table, time.perf_counter() - started))
+    for figure_id, table, build_s in built:
+        started = time.perf_counter()
         csv_path = os.path.join(out_dir, f"{figure_id}.csv")
         emit_csv(table, csv_path)
         if args.plot_script:
             emit_plot_script(table, csv_path,
                              os.path.join(out_dir, f"{figure_id}.gp"))
-        runtime = time.perf_counter() - started
+        runtime = build_s + time.perf_counter() - started
         first = next(iter(table.columns))
         diag = ", ".join(
             f"{k}={v:.6g}" for k, v in table.metadata.items()

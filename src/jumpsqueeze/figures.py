@@ -3,9 +3,10 @@ and spectroscopy machinery and written as deterministic CSV.
 
 Each figure is one sweep, declared once in ``_FIGURES``: its sweep
 column, its grid, a column builder and its envelope rule.  A builder
-finds each row's amplitude on the symplectic backend, then evaluates the
-matrix elements of the whole sweep in one batched recurrence per column;
-``generate`` assembles a table from such an entry.
+finds each row's amplitude on the symplectic backend, bounds them by the
+operators' range, then evaluates the matrix elements of the whole sweep
+in one batched recurrence per column; ``generate`` assembles a table
+from such an entry.
 
 Where the measurements show contrast decay, the fitted 1/e constants are
 applied as a multiplicative envelope about a baseline:
@@ -16,6 +17,7 @@ sweeps use the thermal baseline (their fully dephased limit).
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -28,7 +30,7 @@ from .constants import (MAX_DISPLACEMENT, MAX_FOCK_DIM, MAX_GRID_POINTS,
 from .errors import (ConfigError, atomic_write, check_integer, check_number,
                      check_object)
 from .lattice import (TrapParams, coherent_alpha_from_shift,
-                      ground_state_widths, metres_per_alpha)
+                      ground_state_widths)
 from .matrix_elements import (displacement_block_sq, squeeze_block_sq,
                               squeezed_thermal_moments)
 from .protocol import (FrequencyJump, Protocol, ShiftOrigin, UnshiftOrigin,
@@ -66,8 +68,8 @@ DEFAULT_CONSTANTS = {
 
 # Domain of each figure constant that has one, as a check and its bounds
 # (a grid from 0 must end above 0); every other constant must be a finite
-# number.  Grid sizes, the largest nbar0 and amplitude of a sweep and
-# fig2d's largest Gaussian exponent are bounded in check_overrides.
+# number.  Each builder bounds the amplitudes it computes, and fig2d its
+# largest Gaussian exponent.
 CONSTANT_DOMAINS = {
     "points": (check_integer, 1, MAX_GRID_POINTS),
     "n_jumps_max": (check_integer, 1, MAX_JUMP_COUNT),
@@ -78,18 +80,23 @@ CONSTANT_DOMAINS = {
     "decay_time_s": (check_number, 0, True),
     "calibration": (check_number, 0, True),
     "squeeze_factor": (check_number, 0, True),
-    "two_r_max": (check_number, 0, True), "r_max": (check_number, 0, True),
-    "v_max_m_s": (check_number, 0, True), "d_max_m": (check_number, 0, True),
+    "r_max": (check_number, 0, True, MAX_SQUEEZE_AMPLITUDE),
+    # loose: exp(two_r_max) and the grid span 2 v_max_m_s stay finite
+    # until the builder checks its rows
+    "two_r_max": (check_number, 0, True, 2 * MAX_SQUEEZE_AMPLITUDE),
+    "v_max_m_s": (check_number, 0, True, sys.float_info.max / 2),
+    "d_max_m": (check_number, 0, True),
     "alpha_i": (check_number, -MAX_DISPLACEMENT, False, MAX_DISPLACEMENT),
     "two_r": (check_number, -2 * MAX_SQUEEZE_AMPLITUDE, False,
               2 * MAX_SQUEEZE_AMPLITUDE),
 }
 
 
-def check_overrides(figure_id, overrides, trap):
+def check_overrides(figure_id, overrides):
     """Return ``overrides`` of ``figure_id``'s constants, each checked
-    against its domain, and with defaults filled in, a grid of at most
-    ``MAX_GRID_POINTS`` and amplitudes the operators support at ``trap``."""
+    against its domain, and with defaults filled in, the largest nbar0
+    its consumer can weight, a grid of at most ``MAX_GRID_POINTS`` and a
+    multi-jump chain that stays finite."""
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: "
                           f"{', '.join(FIGURE_IDS)}")
@@ -109,35 +116,11 @@ def check_overrides(figure_id, overrides, trap):
         check_number(c["periods"] * c["points_per_period"],
                      f"{where}.periods * points_per_period",
                      maximum=MAX_GRID_POINTS)
-    # each sweep's largest amplitude, as a bound on the constant setting it
-    if figure_id == "fig2a":  # the squeeze r_eff = two_r of the last row
-        key, bound = "two_r_max", MAX_SQUEEZE_AMPLITUDE
-    elif figure_id == "fig2a_inset":  # the squeeze r_eff of the last row
-        key, n = "r_per_jump", c["n_jumps_max"]
-        # r_eff is n |r_per_jump| only up to round-off; a first, loose bound
-        # on that product keeps the pair of the n-jump chain finite
-        check_number(abs(c[key]), f"{where}.{key}",
-                     maximum=2 * MAX_SQUEEZE_AMPLITUDE / n)
-        last = builtin_protocol("multi_jump", trap, n_jumps=n, r=c[key])
-        check_number(squeeze_params_from_pair(run_symplectic(
-            last, trap).pair).r, f"{where}.{key} (r_eff after {n} jumps)",
-            maximum=MAX_SQUEEZE_AMPLITUDE)
-        return checked
-    elif figure_id == "fig3b":  # the coherent alpha of the largest shift
-        key, bound = "d_max_m", MAX_DISPLACEMENT * metres_per_alpha(
-            replace(trap, calibration=c["calibration"]), trap.omega1)
-    elif figure_id == "fig4c" and c["alpha_i"]:  # |alpha_i| exp(two_r_max)
-        key, bound = "two_r_max", math.log(MAX_DISPLACEMENT / abs(c["alpha_i"]))
-    elif figure_id == "fig2d":  # the last row's exponent, narrowest width
-        v, sigma = c["v_max_m_s"], ground_state_widths(trap)[1] * math.exp(
-            -abs(math.log(c["squeeze_factor"])))
-        check_number(v * v / (2.0 * sigma ** 2) if sigma ** 2 else math.inf,
-                     f"{where}.v_max_m_s: v_max^2 / (2 sigma^2) at the "
-                     f"narrowest width sigma = {sigma} m/s")
-        return checked
-    else:
-        return checked
-    check_number(abs(c[key]), f"{where}.{key}", maximum=bound)
+    if figure_id == "fig2a_inset":
+        # r_eff is n |r_per_jump| only up to round-off; a loose bound on
+        # that product keeps the pair of the n-jump chain finite
+        check_number(abs(c["r_per_jump"]), f"{where}.r_per_jump",
+                     maximum=2 * MAX_SQUEEZE_AMPLITUDE / c["n_jumps_max"])
     return checked
 
 
@@ -179,7 +162,7 @@ class CurveTable:
 def build_spec(figure_id, trap, rabi, overrides=None):
     """Assemble a FigureSpec with default per-figure constants and grid,
     applying user overrides."""
-    overrides = check_overrides(figure_id, overrides or {}, trap)
+    overrides = check_overrides(figure_id, overrides or {})
     constants = {**DEFAULT_CONSTANTS[figure_id], **overrides}
     calibrated = replace(trap, calibration=constants.get("calibration",
                                                          trap.calibration))
@@ -194,16 +177,32 @@ def _squeezed_thermal_R(r_eff, nbar0, rabi):
     return sideband_populations(dist, rabi).R
 
 
-def _displaced_thermal(alphas, nbar0, rabi):
-    return weighted_distribution(displacement_block_sq, alphas, nbar0,
-                                 rabi.n_max)
+def _bounded(spec, key, name, amplitudes, bound):
+    """``amplitudes`` after checking that none exceeds ``bound`` in
+    magnitude; an error names them and the constant ``key`` (None: the
+    trap frequencies) that chose them."""
+    setting = (f"figure_overrides.{spec.figure_id}.{key}" if key else
+               "trap.omega1_hz / trap.omega2_hz")
+    check_number(float(np.max(np.abs(amplitudes))), f"{setting} (largest "
+                 f"{name} of the {spec.figure_id} sweep)", maximum=bound)
+    return amplitudes
 
 
-def _squeezed(spec, protocols):
+def _displaced_thermal(spec, key, alphas, nbar0):
+    """Distributions of the thermal input displaced by each of ``alphas``,
+    which the constant ``key`` chose."""
+    return weighted_distribution(displacement_block_sq, _bounded(
+        spec, key, "|alpha|", alphas, MAX_DISPLACEMENT), nbar0,
+        spec.rabi.n_max)
+
+
+def _squeezed(spec, key, protocols):
     """r_eff, R of the squeezed thermal input and elapsed time of each of
-    ``protocols`` on the symplectic backend, as columns."""
+    ``protocols`` on the symplectic backend, as columns; the constant
+    ``key`` (None: the trap frequencies) chose them."""
     results = [run_symplectic(p, spec.trap) for p in protocols]
-    r = np.array([squeeze_params_from_pair(res.pair).r for res in results])
+    r = _bounded(spec, key, "r_eff", np.array([squeeze_params_from_pair(
+        res.pair).r for res in results]), MAX_SQUEEZE_AMPLITUDE)
     return (r, _squeezed_thermal_R(r, spec.constants["nbar0"], spec.rabi),
             np.array([res.elapsed for res in results]))
 
@@ -215,8 +214,8 @@ def _squeezed(spec, protocols):
 
 def _fig2a(spec):
     trap, nbar0 = spec.trap, spec.constants["nbar0"]
-    r, R, elapsed = _squeezed(spec, [builtin_protocol(
-        "S_minus_2r", trap, r=two_r / 2.0) if two_r > 0
+    r, R, elapsed = _squeezed(spec, "two_r_max", [
+        builtin_protocol("S_minus_2r", trap, r=two_r / 2.0) if two_r > 0
         else Protocol(trap.omega1, ()) for two_r in spec.sweep])
     moments = [squeezed_thermal_moments(nbar0, x) for x in r.tolist()]
     return {"R": R, "nbar_st": np.array([m.nbar_st for m in moments]),
@@ -225,15 +224,15 @@ def _fig2a(spec):
 
 
 def _fig2a_inset(spec):
-    r, R, elapsed = _squeezed(spec, [builtin_protocol(
-        "multi_jump", spec.trap, n_jumps=int(n),
-        r=spec.constants["r_per_jump"]) for n in spec.sweep])
+    r, R, elapsed = _squeezed(spec, "r_per_jump", [
+        builtin_protocol("multi_jump", spec.trap, n_jumps=int(n),
+                         r=spec.constants["r_per_jump"]) for n in spec.sweep])
     return {"r_total": r, "R": R, "elapsed_s": elapsed}, {}
 
 
 def _fig2b(spec):
     omega1 = spec.trap.omega1
-    r_eff, R, _ = _squeezed(spec, [Protocol(
+    r_eff, R, _ = _squeezed(spec, "r_max", [Protocol(
         omega1, (FrequencyJump(omega1 * math.exp(-2 * r)),
                  FrequencyJump(omega1)) if r > 0 else ())
         for r in spec.sweep])
@@ -242,7 +241,7 @@ def _fig2b(spec):
 
 def _fig2c(spec):
     trap = spec.trap
-    r_eff, R, _ = _squeezed(spec, [Protocol(
+    r_eff, R, _ = _squeezed(spec, None, [Protocol(
         trap.omega1, (FrequencyJump(trap.omega2), Wait(tau),
                       FrequencyJump(trap.omega1))) for tau in spec.sweep])
     return {"r_eff": r_eff, "R": R}, {
@@ -255,6 +254,12 @@ def _fig2d(spec):
     r_total = math.log(spec.constants["squeeze_factor"])
     x0, sigma_v, width_ground = ground_state_widths(spec.trap)
     _, _, width_thermal = ground_state_widths(spec.trap, nbar0=nbar0)
+    # the last row's exponent at the narrowest width
+    v_max, narrowest = spec.constants["v_max_m_s"], sigma_v * math.exp(
+        -abs(r_total))
+    check_number(v_max * v_max / (2.0 * narrowest ** 2) if narrowest ** 2
+                 else math.inf, "figure_overrides.fig2d.v_max_m_s: v_max^2 / "
+                 f"(2 sigma^2) at the narrowest width sigma = {narrowest} m/s")
     widths = {
         "density_ground": sigma_v,
         "density_squeezed_momentum": sigma_v * math.exp(-r_total),
@@ -277,12 +282,14 @@ def _fig2d(spec):
 
 def _fig3b(spec):
     trap, rabi, nbar0 = spec.trap, spec.rabi, spec.constants["nbar0"]
-    alpha = np.array([coherent_alpha_from_shift(d, trap) for d in spec.sweep])
+    # Python floats: an alpha beyond the float range is inf, not a warning
+    alpha = np.array([coherent_alpha_from_shift(d, trap)
+                      for d in spec.sweep.tolist()])
     return {"alpha": alpha,
-            "R_displaced_thermal": sideband_populations(
-                _displaced_thermal(alpha, nbar0, rabi), rabi).R,
-            "R_pure_coherent": sideband_populations(
-                _displaced_thermal(alpha, 0.0, rabi), rabi).R}, {
+            "R_displaced_thermal": sideband_populations(_displaced_thermal(
+                spec, "d_max_m", alpha, nbar0), rabi).R,
+            "R_pure_coherent": sideband_populations(_displaced_thermal(
+                spec, "d_max_m", alpha, 0.0), rabi).R}, {
         "calibration": trap.calibration, "x0_m": trap.x0}
 
 
@@ -292,8 +299,8 @@ def _fig3c(spec):
     alpha = np.array([abs(run_symplectic(Protocol(trap.omega1, (
         ShiftOrigin(d), Wait(tau), UnshiftOrigin())), trap).displacement)
         for tau in spec.sweep])
-    return {"alpha_abs": alpha, "R": sideband_populations(
-        _displaced_thermal(alpha, c["nbar0"], rabi), rabi).R}, {
+    return {"alpha_abs": alpha, "R": sideband_populations(_displaced_thermal(
+        spec, "d_m", alpha, c["nbar0"]), rabi).R}, {
         "alpha_i": coherent_alpha_from_shift(d, trap),
         "oscillation_period_s": TWO_PI / trap.omega1}
 
@@ -317,7 +324,7 @@ def _fig4c(spec):
     alpha_f = [amplified_alpha(alpha_i, two_r / 2.0) for two_r in spec.sweep]
     t_prime = [math.pi / trap.omega1 + math.pi / (trap.omega1 * math.exp(
         -two_r)) for two_r in spec.sweep]
-    displaced = _displaced_thermal(alpha_f, nbar0, rabi)
+    displaced = _displaced_thermal(spec, "two_r_max", alpha_f, nbar0)
     decohered = np.array([amplified_distribution_decohered(
         dist, alpha, nbar0, DecoherenceParams(gamma_dec, t))
         for dist, alpha, t in zip(displaced, alpha_f, t_prime)])

@@ -374,15 +374,6 @@ def validate_density(rho):
     return rho
 
 
-def density_factor(rho):
-    """A ``d x K`` factor of ``rho`` after :func:`validate_density`: a column
-    ``sqrt(p) v`` per eigenpair of weight ``p > _RANK_CUT max(p)``; the mass
-    dropped is below ``d _RANK_CUT``."""
-    p, v = np.linalg.eigh(validate_density(np.asarray(rho, dtype=complex)))
-    keep = p > _RANK_CUT * p.max()
-    return v[:, keep] * np.sqrt(p[keep])
-
-
 def number_distribution(rho):
     """Fock populations Re(rho_nn), clipped at zero, of a ``rho`` that
     passes :func:`validate_density`."""
@@ -399,18 +390,15 @@ def factor_populations(m):
     """Fock populations of ``rho = M M^dag``, checked to sum to 1 within
     ``_TRACE_TOL`` and by the tail-mass guard of every step; a Gram matrix
     needs no :func:`validate_density`."""
-    p = _row_norms_sq(m)
-    if abs(p.sum() - 1.0) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace {p.sum()} deviates from 1")
-    return _checked_populations(1.0, p)
+    return _checked_populations(1.0, _row_norms_sq(m))
 
 
 def _checked_populations(trace, populations):
     """``populations`` of a state updated from one of trace ``trace``,
     after the trace check and the tail-mass guard of every update."""
     if abs(populations.sum() - trace) > _TRACE_TOL:
-        raise ValueError(
-            f"trace not preserved: {trace} -> {populations.sum()}")
+        raise ValueError(f"density matrix trace {populations.sum()} "
+                         f"deviates from {trace:.12g}")
     tail = float(populations[len(populations) - GUARD_BAND:].sum())
     if tail >= TAIL_TOL:
         raise TruncationError(

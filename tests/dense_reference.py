@@ -7,7 +7,7 @@ matrices here, which are built directly from their definitions.
 
 import numpy as np
 
-from jumpsqueeze.fock import GUARD_BAND
+from jumpsqueeze.fock import _RANK_CUT, GUARD_BAND, validate_density
 
 
 def ladder_operators(dim):
@@ -51,6 +51,16 @@ def thermal_truncation_deficit(nbar0, dim):
     if nbar0 < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar0}")
     return (nbar0 / (1.0 + nbar0)) ** dim
+
+
+def density_factor(rho):
+    """A ``d x K`` factor of ``rho`` after ``fock.validate_density``: a
+    column ``sqrt(p) v`` per eigenpair of weight ``p > _RANK_CUT max(p)``
+    (the cut of ``fock.thermal_factor``); the mass dropped is below
+    ``d _RANK_CUT``."""
+    p, v = np.linalg.eigh(validate_density(np.asarray(rho, dtype=complex)))
+    keep = p > _RANK_CUT * p.max()
+    return v[:, keep] * np.sqrt(p[keep])
 
 
 def guard_band_population(rho):

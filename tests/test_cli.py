@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,19 @@ class TestFigureCommand:
             assert compare_csv(text, reference) is None, figure_id
             assert (tmp_path / f"{figure_id}.gp").exists()
 
+    def test_each_runtime_is_its_own_build_and_write(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # every table is built before any is written; on a clock that
+        # advances one second a reading, each figure's build and write
+        # still take one second each
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        assert main(["--out", str(tmp_path), "figure", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(FIGURE_IDS)
+        assert all(" rows in 2.00 s -> " in line for line in lines), lines
+
     def test_benchmark_tracer_finds_every_function(self):
         # the traced benchmark wraps functions by module and name, so a
         # rename must fail here rather than break traced runs
@@ -403,6 +417,12 @@ class TestConfigHandling:
         ("fig2a_inset", "r_per_jump", 1.0),
         ("fig2a_inset", "r_per_jump", -0.8),
         ("fig3b", "d_max_m", 4e-7),
+        # checked on the rows of the builder, not the constant alone
+        ("fig2a", "two_r_max", 5.0),
+        # a jump target omega1 exp(-2 r_max) that underflows to 0
+        ("fig2b", "r_max", 400),
+        # a grid span 2 v_max that overflows
+        ("fig2d", "v_max_m_s", 1.7e308),
         # a grid from 0 must end above 0
         ("fig2a", "two_r_max", 0.0),
         ("fig2b", "r_max", 0.0),
@@ -426,6 +446,12 @@ class TestConfigHandling:
         ("fig3b", {"d_max_m": 2.6e-7}),
         # the figure's own calibration sets its alpha: 4.9 here
         ("fig3b", {"d_max_m": 5e-7, "calibration": 2.0}),
+        # at the bound in the builder's own arithmetic: fig4c's largest
+        # |alpha| is 6.0, fig2a's r_eff 3.0 and fig3b's alpha 6.0 exactly
+        ("fig4c", {"alpha_i": 0.67, "two_r_max": math.log(6 / 0.67)}),
+        ("fig2a", {"two_r_max": 3.0}),
+        ("fig2b", {"r_max": 3.0}),
+        ("fig3b", {"d_max_m": 2.66e-7}),
     ])
     def test_override_inside_amplitude_bound_runs(self, tmp_path, capsys,
                                                   figure_id, overrides):
@@ -433,6 +459,52 @@ class TestConfigHandling:
                               {"figure_overrides": {figure_id: overrides}})
         assert main(["--config", cfg_path, "--out", str(tmp_path),
                      "figure", figure_id]) == 0
+
+    # amplitudes that round to just above their bound in the builder's own
+    # arithmetic, or that no constant of the figure sets
+    @pytest.mark.parametrize("figure_id, doc, setting", [
+        ("fig3b", {"figure_overrides": {"fig3b": {
+            "calibration": 2.3149463950321807,
+            "d_max_m": 7.027572147672466e-07}}},
+         "figure_overrides.fig3b.d_max_m (largest |alpha| of the fig3b "
+         "sweep): must be <= 6.0, got 6.000000000000001"),
+        ("fig4c", {"figure_overrides": {"fig4c": {
+            "alpha_i": 0.123, "two_r_max": 3.8873303928377747}}},
+         "figure_overrides.fig4c.two_r_max (largest |alpha| of the fig4c "
+         "sweep): must be <= 6.0, got 6.000000000000001"),
+        ("fig3c", {"figure_overrides": {"fig3c": {"d_m": 1e-6}}},
+         "figure_overrides.fig3c.d_m (largest |alpha| of the fig3c sweep)"),
+        ("fig2c", {"trap": {"omega2_hz": 1.0}},
+         "trap.omega1_hz / trap.omega2_hz (largest r_eff of the fig2c "
+         "sweep): must be <= 3.0"),
+    ])
+    @pytest.mark.parametrize("command", ["own", "all"])
+    def test_row_amplitude_out_of_range_exits_2(self, tmp_path, capsys,
+                                                figure_id, doc, setting,
+                                                command):
+        out = tmp_path / "out"
+        assert main(["--config", write_json(tmp_path / "cfg.json", doc),
+                     "--out", str(out), "figure",
+                     figure_id if command == "own" else "all"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {setting}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_row_amplitude_is_refused_only_where_it_is_built(self, tmp_path,
+                                                             capsys):
+        # a fig4c sweep beyond |alpha| = 6 does not stop fig2d, but `figure
+        # all` builds fig4c and so writes no table at all
+        cfg_path = write_json(tmp_path / "cfg.json", {
+            "figure_overrides": {"fig4c": {"two_r_max": 5.0}}})
+        assert main(["--config", cfg_path, "--out", str(tmp_path / "one"),
+                     "figure", "fig2d"]) == 0
+        assert os.listdir(tmp_path / "one") == ["fig2d.csv"]
+        assert main(["--config", cfg_path, "--out", str(tmp_path / "all"),
+                     "figure", "all"]) == 2
+        assert ("figure_overrides.fig4c.two_r_max (largest |alpha| of the "
+                "fig4c sweep)") in capsys.readouterr().err
+        assert not (tmp_path / "all").exists()
 
     def test_multi_jump_amplitude_at_its_bound(self, tmp_path, capsys):
         # n jumps of 3/n reach r_eff 3 only up to round-off; each n either

@@ -36,6 +36,22 @@ class TestBuildSpec:
         spec = build_spec("fig2a", config.trap, config.rabi, {"points": 11})
         assert len(spec.sweep) == 11
 
+    @pytest.mark.parametrize("figure_id, overrides, message", [
+        ("fig3c", {"d_m": 1e-6}, r"figure_overrides\.fig3c\.d_m \(largest "
+         r"\|alpha\| of the fig3c sweep\): must be <= 6\.0, got 45\.1"),
+        ("fig2a_inset", {"r_per_jump": 1.0}, r"figure_overrides\.fig2a_inset"
+         r"\.r_per_jump \(largest r_eff of the fig2a_inset sweep\): must "
+         r"be <= 3\.0, got 4\.0"),
+        ("fig2d", {"squeeze_factor": 1e300}, r"figure_overrides\.fig2d\."
+         r"v_max_m_s: v_max\^2 / \(2 sigma\^2\) at the narrowest width"),
+    ])
+    def test_builder_bounds_the_amplitudes_it_computes(
+            self, config, figure_id, overrides, message):
+        # the constants pass their own domains; the builder's rows do not
+        spec = build_spec(figure_id, config.trap, config.rabi, overrides)
+        with pytest.raises(ConfigError, match=message):
+            generate(spec)
+
     def test_default_grid_shapes(self, config):
         spec = build_spec("fig2a", config.trap, config.rabi)
         assert len(spec.sweep) == 57

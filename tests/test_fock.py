@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import (guard_band_population, ladder_operators,
-                             thermal_density_matrix,
+from dense_reference import (density_factor, guard_band_population,
+                             ladder_operators, thermal_density_matrix,
                              thermal_truncation_deficit)
 from jumpsqueeze import fock
 from jumpsqueeze.constants import MAX_FOCK_DIM
@@ -289,7 +289,7 @@ FACTOR_STATES = {"thermal": partial(thermal_density_matrix, 0.15),
                  "mixture": _coherent_mixture}
 # their factors: the thermal one built as such, the mixture's by eigh
 FACTORS = {"thermal": partial(fock.thermal_factor, 0.15),
-           "mixture": lambda dim: fock.density_factor(_coherent_mixture(dim))}
+           "mixture": lambda dim: density_factor(_coherent_mixture(dim))}
 
 
 def _assert_raises_alike(expected, *calls):
@@ -463,7 +463,7 @@ class TestCachedBases:
 
 class TestLowRankFactor:
     """The rank cut of :func:`fock.thermal_factor` and
-    :func:`fock.density_factor`, the zero steps and
+    :func:`dense_reference.density_factor`, the zero steps and
     :func:`fock.factor_populations`."""
 
     @pytest.mark.parametrize("nbar0, columns", [(0.0, 1), (0.15, 23),
@@ -491,7 +491,7 @@ class TestLowRankFactor:
         rho = 0.5 * (rho + rho.conj().T)
         lam = np.linalg.eigvalsh(rho)
         kept = np.count_nonzero(lam > 1e-20 * lam.max())
-        m = fock.density_factor(rho)
+        m = density_factor(rho)
         assert m.shape == (dim, kept) and 2 <= kept < dim
         assert np.min(np.einsum("ij,ij->j", m.conj(), m).real) > 1e-20 * 0.6
         assert np.max(np.abs(_gram(m) - rho)) < 1e-15
@@ -537,6 +537,17 @@ class TestLowRankFactor:
             assert fock.factor_populations(m).sum() == pytest.approx(
                 1.0 + drift, abs=1e-15)
 
+    def test_one_trace_message_for_populations_and_updates(self):
+        # factor_populations is the update check against trace 1, and an
+        # update names the trace it started from
+        m = fock.thermal_factor(0.22, 64) * math.sqrt(0.5)
+        with pytest.raises(ValueError, match=r"^density matrix trace "
+                           r"1\.0000000(2|19)\d* deviates from 1$"):
+            fock.factor_populations(m * math.sqrt(2.0 + 4e-8))
+        with pytest.raises(ValueError, match=r"^density matrix trace "
+                           r"0\.5000000(2|19)\d* deviates from 0\.5$"):
+            fock._checked_factor(m, m * math.sqrt(1.0 + 4e-8))
+
 
 class TestEvolutionPopulations:
     """The phase series of :func:`fock.evolution_populations` against the
@@ -558,7 +569,7 @@ class TestEvolutionPopulations:
             fock.apply_unitary(fock.squeeze_operator_exact(0.5, 0.0, dim),
                                _coherent_mixture(dim)))
         u = fock.displacement_operator_exact(-0.6 + 0.1j, dim)
-        populations = fock.evolution_populations(u, fock.density_factor(rho))
+        populations = fock.evolution_populations(u, density_factor(rho))
         period = 2 * math.pi / self.OMEGA
         # at zero, off the figure grid, and at omega tau ~ 2 pi 10^3
         for tau in (0.0, 0.37 * period, 1000.12 * period):
@@ -664,7 +675,7 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match=message) as validated:
             fock.validate_density(rho)
         with pytest.raises(ValueError) as factored:
-            fock.density_factor(rho)
+            density_factor(rho)
         assert str(factored.value) == str(validated.value)
 
     def test_diagonal_check_agrees_with_cholesky_route(self):

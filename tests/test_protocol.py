@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distribution_tvd
-from dense_reference import thermal_density_matrix
+from dense_reference import density_factor, thermal_density_matrix
 from jumpsqueeze import fock
 from jumpsqueeze.bogoliubov import squeeze_params_from_pair
 from jumpsqueeze.cli import main
@@ -222,7 +222,7 @@ class TestRunFock:
             rho0 = fock.apply_unitary(
                 fock.displacement_operator_exact(0.4 - 0.3j, dim),
                 thermal_density_matrix(0.3, dim))
-            m0 = fock.density_factor(rho0)
+            m0 = density_factor(rho0)
         for proto in (builtin_protocol("amplify", trap, alpha_i=0.6, r=0.5),
                       shift_jump_unshift(trap)):
             res = run_fock(proto, trap, m0)
