@@ -60,9 +60,12 @@ def bogoliubov_from_jump(omega_from, omega_to):
     """
     if omega_from <= 0 or omega_to <= 0:
         raise ValueError("jump frequencies must be positive")
-    root = 2.0 * math.sqrt(omega_from * omega_to)
-    u = (omega_from + omega_to) / root
-    v = (omega_from - omega_to) / root
+    # an exact power-of-two scale keeps their product in the float range
+    w_from, w_to = (math.ldexp(w, -math.frexp(omega_from)[1])
+                    for w in (omega_from, omega_to))
+    root = 2.0 * math.sqrt(w_from * w_to)
+    u = (w_from + w_to) / root
+    v = (w_from - w_to) / root
     r = 0.5 * math.log(omega_from / omega_to)
     return BogoliubovPair(complex(u), complex(v)), r
 

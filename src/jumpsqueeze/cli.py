@@ -79,7 +79,7 @@ def cmd_protocol_run(args, config):
                               fock.thermal_factor(config.nbar0, dim))
             break
         except TruncationError as exc:
-            advised = min(exc.min_dim or 2 * dim, MAX_FOCK_DIM)
+            advised = min(exc.min_dim, MAX_FOCK_DIM)
             if advised <= dim:
                 raise
             print(f"note: raising fock_dim {dim} -> {advised} "

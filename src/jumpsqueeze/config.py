@@ -112,9 +112,10 @@ def parse_config(doc):
         fig: check_overrides(fig, over) for fig, over in check_object(
             top["figure_overrides"], "figure_overrides", FIGURE_IDS).items()}
 
+    # the moments check squeezes by 2r, the backend check by r
     for key, bound in (("element_r_values", MAX_SQUEEZE_AMPLITUDE),
                        ("element_alpha_values", MAX_DISPLACEMENT),
-                       ("state_amplitudes", math.inf)):
+                       ("state_amplitudes", MAX_SQUEEZE_AMPLITUDE / 2)):
         values = selfcheck[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"selfcheck.{key}: expected a nonempty list "
@@ -136,6 +137,10 @@ def parse_config(doc):
                     f"dimension {dim} > {MAX_FOCK_DIM}")
     selfcheck["alpha_i"] = check_number(
         selfcheck["alpha_i"], "selfcheck.alpha_i", 0)
+    # the largest displacement of the backend check, amplify's alpha_i e^{2r}
+    check_number(selfcheck["alpha_i"] * math.exp(2 * max(map(abs, selfcheck[
+        "state_amplitudes"]))), "selfcheck.alpha_i e^(2 max "
+        "|state_amplitudes|)", maximum=MAX_DISPLACEMENT)
 
     return Config(trap=trap, rabi=rabi, fock_dim=fock_dim, nbar0=nbar0,
                   output_dir=top["output_dir"],

@@ -16,16 +16,14 @@ class TruncationError(ValueError):
 
     Attributes
     ----------
-    min_dim : int or None
+    min_dim : int
         Advisory smallest truncation dimension expected to satisfy the
-        tail-mass rule, when one can be estimated.
+        tail-mass rule.
     """
 
-    def __init__(self, message, min_dim=None):
+    def __init__(self, message, min_dim):
         self.base_message = message
-        if min_dim is not None:
-            message = f"{message} (advisory minimum dimension: {min_dim})"
-        super().__init__(message)
+        super().__init__(f"{message} (advisory minimum dimension: {min_dim})")
         self.min_dim = min_dim
 
 

@@ -1,18 +1,20 @@
 """Truncated Fock-space numerics: squeeze, displacement and wait operators
 and their steps on a density factor, thermal states and populations.
 
-Operators are plain dense complex ``numpy`` arrays in the number basis
-``|0>, ..., |D-1>``.  A diagonal phase change makes both generators real
-and symmetric: with ``P = diag(exp(i pi n / 4))`` the squeeze generator
-``(a^2 - adag^2) / 2`` is ``i P H P^dag`` for ``H = (a^2 + adag^2) / 2``,
-which couples only levels of equal parity, and with ``P = diag(i^n)``
-the displacement generator ``adag - a`` is ``-i P X P^dag`` for the
-Hermite Jacobi matrix ``X = a + adag``.  So every squeeze and
-displacement at one dimension is ``P V diag(exp(i s lambda)) V^T P^dag``
-in one real eigenbasis ``(lambda, V)`` of ``H`` (two half-size parity
-blocks) or of ``X``.  Each basis is computed once per dimension, with
-its orthogonality checked then, and cached.  The truncated operators are
-therefore unitary to machine precision at any dimension; what
+A state is a ``D x K`` factor ``M`` of ``rho = M M^dag`` in the number
+basis ``|0>, ..., |D-1>``, multiplied from the left by each step without
+forming its operator; dense operators are built only for fig4a's undo
+operator and the selfcheck oracles.  A diagonal phase change makes both
+generators real and symmetric: with ``P = diag(exp(i pi n / 4))`` the
+squeeze generator ``(a^2 - adag^2) / 2`` is ``i P H P^dag`` for ``H =
+(a^2 + adag^2) / 2``, which couples only levels of equal parity, and with
+``P = diag(i^n)`` the displacement generator ``adag - a`` is ``-i P X
+P^dag`` for the Hermite Jacobi matrix ``X = a + adag``.  So every squeeze
+and displacement at one dimension is ``P V diag(exp(i s lambda)) V^T
+P^dag`` in one real eigenbasis ``(lambda, V)`` of ``H`` (two half-size
+parity blocks) or of ``X``.  Each basis is computed once per dimension,
+with its orthogonality checked then, and cached.  The truncated operators
+are therefore unitary to machine precision at any dimension; what
 truncation costs is faithfulness to the infinite-dimensional operator,
 which is what the tail-mass guard protects.
 
@@ -71,12 +73,17 @@ def matrix_exponential(matrix):
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
-def squeezed_vacuum_populations(r, dim):
-    """Number populations of the squeezed vacuum S(r)|0>, by recursion.
+def _tail_mass(p, dim):
+    """The tail-mass measure of every check: the mass ``p`` puts in the top
+    ``GUARD_BAND`` of ``dim`` levels, plus its entry ``dim`` if any."""
+    tail = p[dim - GUARD_BAND:dim].sum()
+    return tail + p[dim] if len(p) > dim else tail
 
-    Used for a-priori tail estimates; exact for the ideal (untruncated)
-    operator.
-    """
+
+def squeezed_vacuum_populations(r, dim):
+    """Number populations of the squeezed vacuum S(r)|0> on ``dim`` levels,
+    by recursion: exact for the ideal (untruncated) operator, with no entry
+    for the mass beyond ``dim``."""
     p = np.zeros(dim)
     p[0] = 1.0 / math.cosh(r)
     t2 = math.tanh(r) ** 2
@@ -85,46 +92,52 @@ def squeezed_vacuum_populations(r, dim):
     return p
 
 
-def _squeeze_tail(r, dim):
-    """Larger of the guard-band and beyond-``dim`` mass of S(r)|0>."""
-    p = squeezed_vacuum_populations(r, dim + GUARD_BAND)
-    return max(p[dim - GUARD_BAND:dim].sum(), p[dim:].sum())
-
-
-def _coherent_tail(mean, dim):
-    """Guard-band plus beyond-``dim`` mass of a coherent state."""
-    p = np.zeros(dim)
+def _poisson_populations(mean, dim):
+    """Poisson populations of mean ``mean`` (a coherent state's) on ``dim``
+    levels, by recursion, then the mass beyond them as entry ``dim``."""
+    p = np.zeros(dim + 1)
     p[0] = math.exp(-mean)
     for k in range(1, dim):
         p[k] = p[k - 1] * mean / k
-    return p[dim - GUARD_BAND:].sum() + max(0.0, 1.0 - p.sum())
+    p[dim] = max(0.0, 1.0 - p[:dim].sum())
+    return p
+
+
+def _amplitude(a, name, bound):
+    """The amplitude ``a`` (|r| or |alpha|), checked finite and <= bound."""
+    if not math.isfinite(a):
+        raise ValueError(f"{name} must be finite, got {a}")
+    if a > bound:
+        raise ValueError(f"{name} = {a} exceeds supported amplitude {bound}")
+    return a
 
 
 @functools.lru_cache(maxsize=1024)
-def _min_tail_dim(tail, size):
-    """Smallest dimension 16, 32, ... below 65536 whose ``tail(size,
-    dim)`` is below ``TAIL_TOL``; 2 for a zero ``size`` (|r|, or the
-    mean number |alpha|^2).  Memoized, since a protocol or figure sweep
-    asks again for every jump or shift of the same magnitude."""
+def _min_tail_dim(populations, size):
+    """Smallest dimension 16, 32, ... whose ideal vacuum image
+    ``populations(size, dim)`` has a :func:`_tail_mass` below ``TAIL_TOL``
+    (2 for a zero ``size``): 1808 at |r| = 3, 80 at |alpha| = 6.  Memoized:
+    sweeps ask again for every jump or shift of the same magnitude."""
     if size == 0:
         return 2
-    for dim in range(16, 65536, 16):
-        if tail(size, dim) < TAIL_TOL:
-            return dim
-    raise TruncationError(f"no dimension below 65536 has "
-                          f"{tail.__name__}({size}, dim) < {TAIL_TOL}")
+    dim = 16
+    while _tail_mass(populations(size, dim), dim) >= TAIL_TOL:
+        dim += 16
+    return dim
 
 
 def min_squeeze_dim(r):
-    """Smallest dimension whose top guard band holds less than
-    ``TAIL_TOL`` of the squeezed vacuum S(r)|0>."""
-    return _min_tail_dim(_squeeze_tail, abs(r))
+    """Smallest dimension that holds the squeezed vacuum S(r)|0> by the
+    tail-mass rule; raises ValueError unless |r| <= 3."""
+    return _min_tail_dim(squeezed_vacuum_populations,
+                         _amplitude(abs(r), "|r|", MAX_SQUEEZE_AMPLITUDE))
 
 
 def min_displacement_dim(alpha):
-    """Smallest dimension whose top guard band holds less than
-    ``TAIL_TOL`` of the coherent state D(alpha)|0>."""
-    return _min_tail_dim(_coherent_tail, abs(alpha) ** 2)
+    """Smallest dimension that holds the coherent state D(alpha)|0> by the
+    tail-mass rule; raises ValueError unless |alpha| <= 6."""
+    return _min_tail_dim(_poisson_populations, _amplitude(
+        abs(alpha), "|alpha|", MAX_DISPLACEMENT) ** 2)
 
 
 def _eigenbasis(levels, off_diagonal):
@@ -167,39 +180,18 @@ def displacement_basis(dim):
     return (_eigenbasis(slice(0, dim), np.sqrt(np.arange(1.0, dim))),)
 
 
-def _squeeze_step(r, theta, dim):
-    """``(basis, angle, scale)`` of S(r, theta) on ``dim`` levels, after
-    the domain and tail-mass checks (raises like squeeze_operator_exact);
-    the basis is None at ``r == 0``, where no step needs it."""
-    if not math.isfinite(r) or not math.isfinite(theta):
-        raise ValueError("squeeze parameters must be finite")
-    if abs(r) > MAX_SQUEEZE_AMPLITUDE:
-        raise ValueError(
-            f"|r| = {abs(r)} exceeds supported amplitude {MAX_SQUEEZE_AMPLITUDE}")
-    needed = min_squeeze_dim(r)
+def _step(min_dim, amplitude, dim, basis, angle, scale):
+    """``(basis(dim), angle, scale)`` of an operator once ``min_dim`` (the
+    :func:`min_squeeze_dim` or :func:`min_displacement_dim` of its
+    ``amplitude``) admits ``dim``; None for the basis at zero ``scale``."""
+    needed = min_dim(amplitude)
+    if not math.isfinite(angle):
+        raise ValueError(f"operator angle must be finite, got {angle}")
     if dim < needed:
         raise TruncationError(
-            f"dimension {dim} too small for squeeze amplitude |r| = {abs(r)}: "
+            f"dimension {dim} too small for amplitude {abs(amplitude)}: "
             "tail-mass rule violated in the guard band", min_dim=needed)
-    return squeeze_basis(dim) if r else None, 0.25 * math.pi + theta, r
-
-
-def _displacement_step(alpha, dim):
-    """``(basis, angle, scale)`` of D(alpha) on ``dim`` levels, like
-    :func:`_squeeze_step` (raises like :func:`displacement_operator_exact`)."""
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("displacement must be finite")
-    if abs(alpha) > MAX_DISPLACEMENT:
-        raise ValueError(
-            f"|alpha| = {abs(alpha)} exceeds supported range {MAX_DISPLACEMENT}")
-    needed = min_displacement_dim(alpha)
-    if dim < needed:
-        raise TruncationError(
-            f"dimension {dim} too small for displacement |alpha| = {abs(alpha)}: "
-            "tail-mass rule violated in the guard band", min_dim=needed)
-    return (displacement_basis(dim) if alpha else None,
-            0.5 * math.pi + cmath.phase(alpha), -abs(alpha))
+    return basis(dim) if scale else None, angle, scale
 
 
 def _dense_operator(basis, angle, scale, dim, size=None):
@@ -229,48 +221,33 @@ def _dense_operator(basis, angle, scale, dim, size=None):
 
 
 def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM, size=None):
-    """Unitary squeeze operator S(xi) with xi = r * exp(2i*theta).
+    """Unitary squeeze operator S(xi) with xi = r * exp(2i*theta): the
+    exponential of ``(conj(xi) a^2 - xi adag^2) / 2`` on ``dim`` levels,
+    built as ``P V diag(exp(i r lambda)) V^T P^dag`` with ``P = diag(exp(i
+    (pi/4 + theta) n))`` from the cached :func:`squeeze_basis`.  The sign
+    of ``r`` flips the squeezed quadrature; ``theta`` = 0 squeezes
+    position.  ``size`` (``1 <= size <= dim``) returns the leading ``size
+    x size`` corner only, built in ``dim size^2`` work.
 
-    The exponential of ``(conj(xi) a^2 - xi adag^2) / 2`` on the truncated
-    basis, built as ``P V diag(exp(i r lambda)) V^T P^dag`` with ``P =
-    diag(exp(i (pi/4 + theta) n))`` from the cached :func:`squeeze_basis`.
-
-    Parameters
-    ----------
-    r : float
-        Squeeze amplitude; the sign flips the squeezed quadrature.
-    theta : float
-        Squeeze angle in radians (0 squeezes position).
-    dim : int
-        Truncation dimension.
-    size : int or None
-        Number of leading levels to return, ``1 <= size <= dim``: the
-        ``size x size`` corner of the ``dim``-level operator, built in
-        ``dim size^2`` work; ``None`` returns the whole operator.
-
-    Raises
-    ------
-    ValueError
-        If ``|r|`` exceeds the supported amplitude range, or ``size`` lies
-        outside ``1..dim``.
-    TruncationError
-        If ``dim`` cannot hold the squeezed vacuum within the tail-mass
-        rule; carries an advisory minimum dimension.
-    """
-    return _dense_operator(*_squeeze_step(r, theta, dim), dim, size)
+    Raises ValueError for a non-finite ``r`` or ``theta``, an ``|r|`` above
+    3 or a ``size`` outside ``1..dim``, and TruncationError, with an
+    advisory minimum dimension, if ``dim`` cannot hold S(r)|0> by the
+    tail-mass rule."""
+    return _dense_operator(*_step(min_squeeze_dim, r, dim, squeeze_basis,
+                                  0.25 * math.pi + theta, r), dim, size)
 
 
 def displacement_operator_exact(alpha, dim=DEFAULT_DIM, size=None):
     """Unitary displacement operator ``exp(alpha adag - conj(alpha) a)``,
     built as ``P V diag(exp(-i |alpha| lambda)) V^T P^dag`` with ``P =
     diag(exp(i (pi/2 + arg alpha) n))`` from the cached
-    :func:`displacement_basis`; ``size`` selects the leading block as
-    for :func:`squeeze_operator_exact`.
-
-    Raises like :func:`squeeze_operator_exact`, with the tail rule
+    :func:`displacement_basis`; ``size`` selects the leading block, and it
+    raises, as for :func:`squeeze_operator_exact`, with the tail rule
     evaluated on the Poisson distribution of D(alpha)|0>.
     """
-    return _dense_operator(*_displacement_step(alpha, dim), dim, size)
+    return _dense_operator(*_step(
+        min_displacement_dim, alpha, dim, displacement_basis,
+        0.5 * math.pi + cmath.phase(alpha), -abs(alpha)), dim, size)
 
 
 def _free_evolution_phases(omega, tau, dim):
@@ -399,7 +376,7 @@ def _checked_populations(trace, populations):
     if abs(populations.sum() - trace) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {populations.sum()} "
                          f"deviates from {trace:.12g}")
-    tail = float(populations[len(populations) - GUARD_BAND:].sum())
+    tail = float(_tail_mass(populations, len(populations)))
     if tail >= TAIL_TOL:
         raise TruncationError(
             f"state carries {tail:.3e} population in the top "
@@ -499,14 +476,17 @@ def apply_squeeze(r, m, theta=0.0):
     """``S(r, theta) M``: the factor of ``S rho S^dag`` for ``rho = M
     M^dag``, in the cached :func:`squeeze_basis` without forming ``S``;
     raises like :func:`squeeze_operator_exact` and :func:`apply_unitary`."""
-    return _apply_in_basis(*_squeeze_step(r, theta, len(m)), m)
+    return _apply_in_basis(*_step(min_squeeze_dim, r, len(m), squeeze_basis,
+                                  0.25 * math.pi + theta, r), m)
 
 
 def apply_displacement(alpha, m):
     """``D(alpha) M``, like :func:`apply_squeeze` in the cached
     :func:`displacement_basis`; raises like
     :func:`displacement_operator_exact`."""
-    return _apply_in_basis(*_displacement_step(alpha, len(m)), m)
+    return _apply_in_basis(*_step(
+        min_displacement_dim, alpha, len(m), displacement_basis,
+        0.5 * math.pi + cmath.phase(alpha), -abs(alpha)), m)
 
 
 def apply_free_evolution(omega, tau, m):

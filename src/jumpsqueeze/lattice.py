@@ -8,6 +8,15 @@ from dataclasses import dataclass
 from .constants import HBAR
 
 
+# The inputs and derived scales of a trap, with the config keys setting each
+_DOMAIN = (("omega1", "omega1_hz"), ("omega2", "omega2_hz"),
+           ("mass", "mass_kg"), ("V0", "v0_hz"), ("calibration", "calibration"),
+           ("lattice_wavenumber", "lattice_wavenumber_per_m"),
+           ("recoil_energy", "mass_kg, lattice_wavenumber_per_m"),
+           ("depth_parameter", "v0_hz, mass_kg, lattice_wavenumber_per_m"),
+           ("x0", "mass_kg, omega1_hz"), ("sigma_v", "mass_kg, omega1_hz"))
+
+
 @dataclass(frozen=True)
 class TrapParams:
     """Physical trap configuration.
@@ -34,16 +43,16 @@ class TrapParams:
     calibration: float = 1.0
 
     def __post_init__(self):
-        if self.omega1 <= 0 or self.omega2 <= 0:
-            raise ValueError("frequencies omega1, omega2 must be positive")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.lattice_wavenumber <= 0:
-            raise ValueError("lattice_wavenumber must be positive")
-        if self.V0 <= 0:
-            raise ValueError("lattice depth V0 must be positive")
-        if self.calibration <= 0:
-            raise ValueError("calibration factor must be positive")
+        # each input, then each scale derived from them, must be positive
+        # and finite, so a scale that a product under- or overflowed fails
+        for name, keys in _DOMAIN:
+            try:
+                value = getattr(self, name)
+            except ZeroDivisionError:  # a denominator underflowed to 0
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} (set by {keys}) must be positive "
+                                 f"and finite, got {value}")
 
     @property
     def recoil_energy(self):
@@ -60,6 +69,11 @@ class TrapParams:
     def x0(self):
         """Root-mean-square ground-state extent sqrt(hbar / 2 m omega1), m."""
         return math.sqrt(HBAR / (2.0 * self.mass * self.omega1))
+
+    @property
+    def sigma_v(self):
+        """Ground-state velocity spread sqrt(hbar omega1 / 2 m), m/s."""
+        return math.sqrt(HBAR * self.omega1 / (2.0 * self.mass))
 
 
 def mathieu_energy(n, q):
@@ -155,7 +169,6 @@ def ground_state_widths(params, nbar0=0.0, r_total=0.0):
         the bare ground state, and the 1/e^2 half-width ``2 sigma_v``
         of the velocity density after squeezing and thermal broadening.
     """
-    x0 = params.x0
-    sigma_v = math.sqrt(HBAR * params.omega1 / (2.0 * params.mass))
+    x0, sigma_v = params.x0, params.sigma_v
     width = 2.0 * sigma_v * math.exp(-r_total) * math.sqrt(2.0 * nbar0 + 1.0)
     return x0, sigma_v, width

@@ -32,6 +32,11 @@ class TestJump:
             assert pair.defect() < 1e-12
             assert pair.u.real == pytest.approx(math.cosh(r), rel=1e-12)
             assert pair.v.real == pytest.approx(math.sinh(r), rel=1e-12)
+            # both frequencies scaled by a power of two (exact) until their
+            # product under- or overflows: the pair is the unscaled one
+            for scale in (2.0 ** -570, 2.0 ** 570):
+                scaled, _ = bogoliubov_from_jump(W1 * scale, w_to * scale)
+                assert scaled == pair
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,7 @@ class TestParser:
                      encoding="utf-8").splitlines()]
         commands = [shlex.split(line)[1:] for line in lines
                     if line.startswith("jumpsqueeze ")]
-        assert len(commands) == 7
+        assert len(commands) == 8
         for argv in commands:
             assert cli.build_parser().parse_args(argv).func
 
@@ -549,6 +549,21 @@ class TestConfigHandling:
         ("config", "figure_overrides.fig4a.nbar0", 100),
         ("config", "figure_overrides.fig3b.nbar0", 50),
         ("config", "figure_overrides.fig3b.nbar0", 1e20),
+        # the moments check squeezes by 2r: |r| above 3 / 2, up to an
+        # amplitude whose jump frequency underflows to 0
+        ("config", "selfcheck.state_amplitudes", [4]),
+        ("config", "selfcheck.state_amplitudes", [-5]),
+        ("config", "selfcheck.state_amplitudes", [1e300]),
+        ("config", "selfcheck.state_amplitudes", [2.0]),
+        # amplify displaces by alpha_i e^{2r}: above 6 at any fock_dim
+        ("config", "selfcheck.alpha_i", 7),
+        ("config", "selfcheck.alpha_i", 3.0),
+        # a trap scale that is 0 or infinite: x0 (2 mass omega1
+        # underflows to 0) or the recoil energy (hbar^2 k^2 / 2 mass
+        # underflows to 0)
+        ("config", "trap", {"mass_kg": 1e-300, "omega1_hz": 1e-30}),
+        ("config", "trap.omega1_hz", 1e-300),
+        ("config", "trap.mass_kg", 1e300),
     ])
     def test_input_outside_domain_exits_2(self, tmp_path, capsys,
                                           document, key, value):
@@ -610,8 +625,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize("doc", [
         # 2 * nbar0 overflows in the thermal broadening metadata
         {"figure_overrides": {"fig2d": {"nbar0": 1.7e308}}},
-        # 2 * mass * omega1 underflows to 0 in the ground-state extent
-        {"trap": {"mass_kg": 1e-300, "omega1_hz": 1e-30}},
     ])
     def test_overflow_exits_3_writes_nothing(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
@@ -853,7 +866,7 @@ class TestSelfcheck:
                                                         capsys):
         cfg_path = write_json(
             tmp_path / "cfg.json",
-            {"fock_dim": 16, "selfcheck": {"state_amplitudes": [1.6]}})
+            {"fock_dim": 16, "selfcheck": {"state_amplitudes": [1.0]}})
         assert main(["--config", cfg_path, "selfcheck"]) == 1
         assert "tail-mass" in capsys.readouterr().out
 
@@ -875,7 +888,7 @@ class TestSelfcheck:
     def test_truncation_fails_its_check_and_the_rest_still_run(
             self, tmp_path, capsys):
         cfg_path = write_json(tmp_path / "cfg.json",
-                              {"selfcheck": {"state_amplitudes": [2.0]}})
+                              {"selfcheck": {"state_amplitudes": [1.0]}})
         assert main(["--config", cfg_path, "selfcheck"]) == 1
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if line.startswith("FAIL")]

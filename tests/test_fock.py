@@ -752,6 +752,21 @@ class TestMinimumDimensions:
                 assert (fock.min_displacement_dim(alpha)
                         == _reference_displacement_dim(alpha)), alpha
 
+    @pytest.mark.parametrize("min_dim, amplitude, message", [
+        (fock.min_squeeze_dim, 3.5,
+         r"\|r\| = 3.5 exceeds supported amplitude 3.0"),
+        (fock.min_squeeze_dim, -3.5, r"\|r\| = 3.5 exceeds"),
+        (fock.min_squeeze_dim, float("nan"), r"\|r\| must be finite, got nan"),
+        (fock.min_displacement_dim, 7.0,
+         r"\|alpha\| = 7.0 exceeds supported amplitude 6.0"),
+        (fock.min_displacement_dim, -7j, r"\|alpha\| = 7.0 exceeds"),
+        (fock.min_displacement_dim, complex(float("nan"), 1.0),
+         r"\|alpha\| must be finite, got nan")])
+    def test_amplitude_is_checked_before_the_search(self, min_dim, amplitude,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
+            min_dim(amplitude)
+
     def test_repeat_is_memoized(self):
         fock.min_squeeze_dim(1.2345)
         fock.min_displacement_dim(2.345)
