@@ -27,7 +27,7 @@ from .config import load_config
 from .constants import MAX_FOCK_DIM, TWO_PI
 from .errors import SCHEMA_VERSION, ConfigError, TruncationError
 from .figures import FIGURE_IDS, build_spec, emit_csv, emit_plot_script, generate
-from .protocol import load_protocol, run_fock
+from .protocol import check_amplitudes, load_protocol, run_fock
 from .selfcheck import run_selfcheck
 from .spectroscopy import sideband_populations
 
@@ -70,6 +70,7 @@ def cmd_figure(args, config):
 
 def cmd_protocol_run(args, config):
     protocol = load_protocol(args.protocol_file)
+    check_amplitudes(protocol, config.trap)
     dim = config.fock_dim
     while True:
         # grow the basis per the tail-mass advisory, capped at MAX_FOCK_DIM,

@@ -9,13 +9,30 @@ generators real and symmetric: with ``P = diag(exp(i pi n / 4))`` the
 squeeze generator ``(a^2 - adag^2) / 2`` is ``i P H P^dag`` for ``H =
 (a^2 + adag^2) / 2``, which couples only levels of equal parity, and with
 ``P = diag(i^n)`` the displacement generator ``adag - a`` is ``-i P X
-P^dag`` for the Hermite Jacobi matrix ``X = a + adag``.  So every squeeze
-and displacement at one dimension is ``P V diag(exp(i s lambda)) V^T
-P^dag`` in one real eigenbasis ``(lambda, V)`` of ``H`` (two half-size
-parity blocks) or of ``X``.  Each basis is computed once per dimension,
-with its orthogonality checked then, and cached.  The truncated operators
-are therefore unitary to machine precision at any dimension; what
-truncation costs is faithfulness to the infinite-dimensional operator,
+P^dag`` for the Hermite Jacobi matrix ``X = a + adag``.  Each parity block
+of ``H``, and ``X`` itself, is a tridiagonal matrix with zero diagonal, so
+after an even/odd split of its levels it is ``[[0, B], [B^T, 0]]`` with a
+bidiagonal ``B``, and its exponential comes from the SVD ``B = U diag(sigma)
+W^T`` (G. Golub and W. Kahan, SIAM J. Numer. Anal. 2, 205 (1965)): the
+squeeze blocks hold the levels ``n = 0, 2`` and ``1, 3 (mod 4)``, the
+displacement block the even and the odd levels.  On these rows ``P``
+reduces to signs ``+-1`` and a common ``i`` on the ``b`` rows, which are
+folded into ``U`` and ``W``, so for a real amplitude ``s`` (``r`` of a
+squeeze at ``theta = 0``, ``-alpha`` of a real displacement; every jump
+and shift of a protocol) a step is the real rotation
+
+    a' = U (cos(s sigma) U^T a + sin(s sigma) W^T b)
+    b' = W (cos(s sigma) W^T b - sin(s sigma) U^T a)
+
+on the rows ``a`` and ``b`` of ``M``: four real half-size products, with
+no phases.  A block with one more ``a`` row than ``b`` rows has a null
+vector, the last column of ``U``, which the step leaves unchanged.  A
+squeeze angle ``theta`` or a complex ``alpha`` adds ``Q^dag`` before the
+step and ``Q`` after it, ``Q = diag(exp(i phi n))`` with ``phi = theta``
+or ``arg alpha``.  Each basis is computed once per dimension, with the
+orthogonality of ``U`` and ``W`` checked then, and cached.  The truncated
+operators are therefore unitary to machine precision at any dimension;
+what truncation costs is faithfulness to the infinite-dimensional operator,
 which is what the tail-mass guard protects.
 
 The top ``GUARD_BAND`` levels of the basis are treated as a sacrificial
@@ -42,8 +59,9 @@ _EIGENVALUE_TOL = -1e-10
 _TRACE_TOL = 1e-8
 _RANK_CUT = 1e-20  # relative weight below which a factor drops a column
 
-# Each cached basis of dimension D holds about 8 D^2 bytes of
-# eigenvectors (8 MB at the largest dimension, MAX_FOCK_DIM).
+# Each cached basis of dimension D holds at most about 4 D^2 bytes of
+# singular vectors (4 MB at the largest dimension, MAX_FOCK_DIM): D^2 / 2
+# floats for X, D^2 / 4 for H.
 _BASIS_CACHE_SIZE = 8
 
 
@@ -140,44 +158,59 @@ def min_displacement_dim(alpha):
         abs(alpha), "|alpha|", MAX_DISPLACEMENT) ** 2)
 
 
-def _eigenbasis(levels, off_diagonal):
-    """Eigenbasis ``(levels, lambda, vt)`` of the real symmetric
-    tridiagonal matrix with zero diagonal and the given off-diagonal,
-    acting on the number states ``levels`` (a slice).  The rows of ``vt``
-    are the eigenvectors; their orthogonality is checked here, once."""
-    t = np.diag(off_diagonal, 1)
-    lam, v = np.linalg.eigh(t + t.T)
-    vt = np.ascontiguousarray(v.T)
-    dev = np.max(np.abs(vt @ v - np.eye(len(lam))))
-    if dev > _UNITARY_TOL:
-        raise ValueError(f"eigenbasis is not orthogonal "
-                         f"(deviation {dev:.3e} > {_UNITARY_TOL})")
-    lam.flags.writeable = False
-    vt.flags.writeable = False
-    return levels, lam, vt
+def _golub_kahan(start, step, dim, off_diagonal):
+    """Golub-Kahan block ``(a_rows, b_rows, u, w, sigma)`` of the real
+    symmetric tridiagonal matrix ``T`` with zero diagonal and the given
+    off-diagonal, acting on the number states ``start, start + step, ...``
+    below ``dim``.
+
+    On the even positions of that chain (``a_rows``) and the odd ones
+    (``b_rows``), ``T`` is ``[[0, B], [B^T, 0]]`` with ``B`` lower
+    bidiagonal: one row more than columns for an odd chain, whose extra
+    column of ``u`` spans the null space of ``B^T``, square for an even
+    one.  ``B = U diag(sigma) W^T``; row ``j`` of ``u = U`` and of ``w =
+    W`` carries the sign ``(-1)^j`` of the phases (module docstring).
+    The orthogonality of ``u`` and ``w`` is checked here, once."""
+    a_rows = slice(start, dim, 2 * step)
+    b_rows = slice(start + step, dim, 2 * step)
+    b = np.zeros(((len(off_diagonal) + 2) // 2, (len(off_diagonal) + 1) // 2))
+    np.fill_diagonal(b, off_diagonal[0::2])
+    np.fill_diagonal(b[1:], off_diagonal[1::2])
+    u, sigma, wt = np.linalg.svd(b)
+    w = wt.T.copy()
+    for q in (u, w):
+        q[1::2] *= -1.0
+        dev = np.max(np.abs(q.T @ q - np.eye(len(q))), initial=0.0)
+        if dev > _UNITARY_TOL:
+            raise ValueError(f"Golub-Kahan basis is not orthogonal "
+                             f"(deviation {dev:.3e} > {_UNITARY_TOL})")
+        q.flags.writeable = False
+    sigma.flags.writeable = False
+    return a_rows, b_rows, u, w, sigma
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def squeeze_basis(dim):
-    """Eigenbasis of ``H = (a^2 + adag^2) / 2`` on ``dim`` levels, one
-    ``(levels, lambda, vt)`` block per parity (see :func:`_eigenbasis`).
+    """Golub-Kahan blocks of ``H = (a^2 + adag^2) / 2`` on ``dim`` levels
+    (see :func:`_golub_kahan`), one per parity.
 
     ``H[n, n+2] = sqrt((n+1)(n+2)) / 2`` is its only nonzero band, so the
-    even and the odd levels form two tridiagonal blocks of half size.
+    even and the odd levels form two tridiagonal chains of half size, and
+    each splits again into the levels ``n = 0, 2 (mod 4)`` (or ``1, 3``).
     """
     blocks = []
     for parity in (0, 1):
         n = np.arange(parity, dim - 2, 2, dtype=float)
-        blocks.append(_eigenbasis(slice(parity, dim, 2),
-                                  0.5 * np.sqrt((n + 1.0) * (n + 2.0))))
+        blocks.append(_golub_kahan(parity, 2, dim,
+                                   0.5 * np.sqrt((n + 1.0) * (n + 2.0))))
     return tuple(blocks)
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def displacement_basis(dim):
-    """Eigenbasis of ``X = a + adag`` (``X[n-1, n] = sqrt(n)``) on ``dim``
-    levels, as a single ``(levels, lambda, vt)`` block."""
-    return (_eigenbasis(slice(0, dim), np.sqrt(np.arange(1.0, dim))),)
+    """Golub-Kahan block of ``X = a + adag`` (``X[n-1, n] = sqrt(n)``) on
+    ``dim`` levels, between the even and the odd levels."""
+    return (_golub_kahan(0, 1, dim, np.sqrt(np.arange(1.0, dim))),)
 
 
 def _step(min_dim, amplitude, dim, basis, angle, scale):
@@ -194,72 +227,96 @@ def _step(min_dim, amplitude, dim, basis, angle, scale):
     return basis(dim) if scale else None, angle, scale
 
 
+def _rotations(scale, sigma):
+    """``cos(scale sigma)`` and ``sin(scale sigma)`` as columns."""
+    theta = scale * sigma
+    return np.cos(theta)[:, None], np.sin(theta)[:, None]
+
+
 def _dense_operator(basis, angle, scale, dim, size=None):
     """The leading ``size x size`` block (all of it for ``None``) of the
-    dense ``U = P W P^dag`` on ``dim`` levels: ``P = diag(exp(i angle
-    n))`` and the blocks ``W = V diag(exp(i scale lambda)) V^T`` of
-    ``basis``, each from one real x complex product on the float view (the
-    real ``V`` is never upcast).  Only the leading rows of ``V`` enter,
-    ``V[:s] diag(...) V[:s]^T`` per block, so a block costs ``d s^2``, not
-    ``d^3``.  At ``scale == 0`` ``U`` is exactly the identity, which ``V
-    V^T`` or ``P P^dag`` would reproduce only to round-off."""
+    dense ``U = Q U0 Q^dag`` on ``dim`` levels: ``Q = diag(exp(i angle
+    n))`` and, per block of ``basis``, the real ``U0 = [[U C U^T, U S
+    W^T], [-W S U^T, W C W^T]]`` with ``C = cos(scale sigma)`` and ``S =
+    sin(scale sigma)``.  Only the leading rows of ``U`` and ``W`` enter,
+    so a block costs ``d s^2``, not ``d^3``.  At ``scale == 0`` ``U`` is
+    exactly the identity, which ``U U^T`` would reproduce only to
+    round-off."""
     size = dim if size is None else size
     if not 1 <= size <= dim:
         raise ValueError(f"block size must lie in 1..{dim}, got {size}")
     if scale == 0:
         return np.eye(size, dtype=complex)
-    phases = np.exp(1j * angle * np.arange(size))
-    out = np.zeros((size, size), dtype=complex)
-    for levels, lam, vt in basis:
-        lead = slice(levels.start, size, levels.step)
-        p = phases[lead]
-        v = vt[:, :len(p)]
-        rows = np.exp(1j * scale * lam)[:, None] * v
-        w = (v.T @ rows.view(np.float64)).view(complex)
-        out[lead, lead] = p[:, None] * w * p.conj()
-    return out
+    out = np.zeros((size, size))
+    for a_rows, b_rows, u, w, sigma in basis:
+        a_lead = slice(a_rows.start, size, a_rows.step)
+        b_lead = slice(b_rows.start, size, b_rows.step)
+        u = u[:len(range(size)[a_lead])]
+        w = w[:len(range(size)[b_lead])]
+        k = len(sigma)
+        c, s = _rotations(scale, sigma)
+        # cos = 1 on an odd block's null vector, the last column of u
+        cos_a = np.append(c, np.ones(u.shape[1] - k))
+        cross = (u[:, :k] * s.T) @ w.T
+        out[a_lead, a_lead] = (u * cos_a) @ u.T
+        out[a_lead, b_lead] = cross
+        out[b_lead, a_lead] = -cross.T
+        out[b_lead, b_lead] = (w * c.T) @ w.T
+    q = np.exp(1j * angle * np.arange(size))
+    return q[:, None] * out * q.conj()
+
+
+def _displacement_step(alpha, dim):
+    """:func:`_step` of D(alpha) in the cached :func:`displacement_basis`:
+    a rotation by ``-alpha`` for a real ``alpha``, else by ``-|alpha|``
+    between the phases ``diag(exp(i arg(alpha) n))``."""
+    if alpha.imag == 0:
+        angle, scale = 0.0, -alpha.real
+    else:
+        angle, scale = cmath.phase(alpha), -abs(alpha)
+    return _step(min_displacement_dim, alpha, dim, displacement_basis,
+                 angle, scale)
 
 
 def squeeze_operator_exact(r, theta=0.0, dim=DEFAULT_DIM, size=None):
     """Unitary squeeze operator S(xi) with xi = r * exp(2i*theta): the
     exponential of ``(conj(xi) a^2 - xi adag^2) / 2`` on ``dim`` levels,
-    built as ``P V diag(exp(i r lambda)) V^T P^dag`` with ``P = diag(exp(i
-    (pi/4 + theta) n))`` from the cached :func:`squeeze_basis`.  The sign
-    of ``r`` flips the squeezed quadrature; ``theta`` = 0 squeezes
-    position.  ``size`` (``1 <= size <= dim``) returns the leading ``size
-    x size`` corner only, built in ``dim size^2`` work.
+    built by :func:`_dense_operator` from the cached :func:`squeeze_basis`.
+    The sign of ``r`` flips the squeezed quadrature; ``theta`` = 0
+    squeezes position.  ``size`` (``1 <= size <= dim``) returns the
+    leading ``size x size`` corner only, built in ``dim size^2`` work.
 
     Raises ValueError for a non-finite ``r`` or ``theta``, an ``|r|`` above
     3 or a ``size`` outside ``1..dim``, and TruncationError, with an
     advisory minimum dimension, if ``dim`` cannot hold S(r)|0> by the
     tail-mass rule."""
     return _dense_operator(*_step(min_squeeze_dim, r, dim, squeeze_basis,
-                                  0.25 * math.pi + theta, r), dim, size)
+                                  theta, r), dim, size)
 
 
 def displacement_operator_exact(alpha, dim=DEFAULT_DIM, size=None):
     """Unitary displacement operator ``exp(alpha adag - conj(alpha) a)``,
-    built as ``P V diag(exp(-i |alpha| lambda)) V^T P^dag`` with ``P =
-    diag(exp(i (pi/2 + arg alpha) n))`` from the cached
+    built by :func:`_dense_operator` from the cached
     :func:`displacement_basis`; ``size`` selects the leading block, and it
     raises, as for :func:`squeeze_operator_exact`, with the tail rule
     evaluated on the Poisson distribution of D(alpha)|0>.
     """
-    return _dense_operator(*_step(
-        min_displacement_dim, alpha, dim, displacement_basis,
-        0.5 * math.pi + cmath.phase(alpha), -abs(alpha)), dim, size)
+    return _dense_operator(*_displacement_step(alpha, dim), dim, size)
 
 
 def _free_evolution_phases(omega, tau, dim):
     """``exp(-i n omega tau)`` for ``n < dim``, with one row per entry of a
-    1-D array ``tau``."""
+    1-D array ``tau``.  A float ``tau`` (every wait of a protocol) takes a
+    shorter route to the same bits: ``n omega`` times ``-i tau``."""
     if omega <= 0:
         raise ValueError(f"frequency must be positive, got {omega}")
-    tau = np.asarray(tau)
-    if tau.min() < 0:
-        raise ValueError(
-            f"evolution time must be nonnegative, got {tau.min()}")
-    return np.exp(tau[..., None] * (-1j * np.arange(dim) * omega))
+    scalar = isinstance(tau, float)
+    lowest = tau if scalar else np.min(tau)
+    if lowest < 0:
+        raise ValueError(f"evolution time must be nonnegative, got {lowest}")
+    if scalar:
+        return np.exp((np.arange(dim) * omega) * (-1j * tau))
+    return np.exp(np.asarray(tau)[..., None] * (-1j * np.arange(dim) * omega))
 
 
 def free_evolution_operator(omega, tau, dim=DEFAULT_DIM):
@@ -457,18 +514,34 @@ def evolution_populations(u, m):
 
 
 def _apply_in_basis(basis, angle, scale, m):
-    """``U M``, checked, for ``U`` of :func:`_dense_operator`: ``P V
-    (exp(i scale lambda) * V^T (P^dag M))`` per block, two real x complex
-    products with ``W`` never formed; ``M`` itself at ``scale == 0``."""
+    """``U M``, checked, for ``U`` of :func:`_dense_operator`, with ``U``
+    never formed: per block, on the rows ``a`` and ``b`` of ``Q^dag M``,
+    ``a' = U (C U^T a + S W^T b)`` and ``b' = W (C W^T b - S U^T a)``,
+    four real half-size products on the float view, then ``Q`` (skipped,
+    with ``Q^dag``, at a zero ``angle``); ``M`` itself at ``scale == 0``."""
     m = np.ascontiguousarray(m, dtype=complex)
     if scale == 0:
         return _checked_factor(m, m)
+    if angle:
+        q = np.exp(1j * angle * np.arange(len(m)))[:, None]
+        x = m * q.conj()
+    else:
+        x = m
     out = np.empty_like(m)
-    for levels, lam, vt in basis:
-        p = np.exp(1j * angle * np.arange(len(m)))[levels, None]
-        y = (vt @ (p.conj() * m[levels]).view(np.float64)).view(complex)
-        y *= np.exp(1j * scale * lam)[:, None]
-        out[levels] = p * (vt.T @ y.view(np.float64)).view(complex)
+    xf, of = x.view(np.float64), out.view(np.float64)
+    for a_rows, b_rows, u, w, sigma in basis:
+        c, s = _rotations(scale, sigma)
+        ya = u.T @ xf[a_rows]
+        yb = w.T @ xf[b_rows]
+        head = ya[:len(sigma)]  # the rest: an odd block's null vector
+        zb = c * yb
+        zb -= s * head
+        head *= c
+        head += s * yb
+        np.matmul(u, ya, out=of[a_rows])
+        np.matmul(w, zb, out=of[b_rows])
+    if angle:
+        out *= q
     return _checked_factor(m, out)
 
 
@@ -477,16 +550,14 @@ def apply_squeeze(r, m, theta=0.0):
     M^dag``, in the cached :func:`squeeze_basis` without forming ``S``;
     raises like :func:`squeeze_operator_exact` and :func:`apply_unitary`."""
     return _apply_in_basis(*_step(min_squeeze_dim, r, len(m), squeeze_basis,
-                                  0.25 * math.pi + theta, r), m)
+                                  theta, r), m)
 
 
 def apply_displacement(alpha, m):
     """``D(alpha) M``, like :func:`apply_squeeze` in the cached
     :func:`displacement_basis`; raises like
     :func:`displacement_operator_exact`."""
-    return _apply_in_basis(*_step(
-        min_displacement_dim, alpha, len(m), displacement_basis,
-        0.5 * math.pi + cmath.phase(alpha), -abs(alpha)), m)
+    return _apply_in_basis(*_displacement_step(alpha, len(m)), m)
 
 
 def apply_free_evolution(omega, tau, m):

@@ -219,16 +219,14 @@ def run_fock(protocol, params, initial):
         raise ValueError(f"initial state: {exc}") from exc
     m = initial
     symplectic = run_symplectic(protocol, params)
-    for i, step, omega, shift in _walk(protocol):
+    for i, step, omega, amplitude in _fock_amplitudes(protocol, params):
         try:
             if isinstance(step, FrequencyJump):
-                m = fock.apply_squeeze(
-                    0.5 * math.log(omega / step.omega_new), m)
+                m = fock.apply_squeeze(amplitude, m)
             elif isinstance(step, Wait):
                 m = fock.apply_free_evolution(omega, step.tau, m)
             else:
-                m = fock.apply_displacement(
-                    shift / metres_per_alpha(params, omega), m)
+                m = fock.apply_displacement(amplitude, m)
         except TruncationError as exc:
             raise TruncationError(
                 f"step {i} ({type(step).__name__}): {exc.base_message}",
@@ -236,6 +234,37 @@ def run_fock(protocol, params, initial):
     return ProtocolResult(symplectic.pair, symplectic.displacement,
                           symplectic.elapsed, protocol.final_omega,
                           final_factor=m)
+
+
+def _fock_amplitudes(protocol, params):
+    """Yield ``(index, step, omega, amplitude)`` for every step: the real
+    squeeze amplitude ``r`` of a jump, the real displacement ``alpha`` of a
+    shift or an unshift, and None for a wait."""
+    for i, step, omega, shift in _walk(protocol):
+        if isinstance(step, FrequencyJump):
+            amplitude = 0.5 * math.log(omega / step.omega_new)
+        elif isinstance(step, Wait):
+            amplitude = None
+        else:
+            amplitude = shift / metres_per_alpha(params, omega)
+        yield i, step, omega, amplitude
+
+
+def check_amplitudes(protocol, params):
+    """Raise ConfigError, naming ``steps[i]`` and its type, for the first
+    jump or shift whose amplitude lies outside the range of the Fock
+    operators, as :func:`fock.min_squeeze_dim` and
+    :func:`fock.min_displacement_dim` bound it."""
+    for i, step, _, amplitude in _fock_amplitudes(protocol, params):
+        if amplitude is None:
+            continue
+        bound = (fock.min_squeeze_dim if isinstance(step, FrequencyJump)
+                 else fock.min_displacement_dim)
+        try:
+            bound(amplitude)
+        except ValueError as exc:
+            raise ConfigError(
+                f"steps[{i}] ({_STEP_JSON[type(step)][0]}): {exc}") from exc
 
 
 def implied_factor(result, nbar0, dim=fock.DEFAULT_DIM):

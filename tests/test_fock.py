@@ -450,15 +450,101 @@ class TestCachedBases:
         for basis_fn in (fock.squeeze_basis, fock.displacement_basis):
             maxsize = basis_fn.cache_info().maxsize
             assert maxsize is not None and 0 < maxsize < 64
-            for _, lam, vt in basis_fn(32):
-                assert not lam.flags.writeable
-                assert not vt.flags.writeable
+            for dim in (32, 63):
+                for _, _, u, w, sigma in basis_fn(dim):
+                    for array in (u, w, sigma):
+                        assert not array.flags.writeable
 
     def test_bases_are_orthogonal(self):
         for basis_fn in (fock.squeeze_basis, fock.displacement_basis):
-            for _, _, vt in basis_fn(96):
-                eye = np.eye(len(vt))
-                assert np.max(np.abs(vt @ vt.T - eye)) < 1e-12
+            for dim in (63, 64, 65, 96, 161, 512):
+                for _, _, u, w, _ in basis_fn(dim):
+                    for q in (u, w):
+                        eye = np.eye(len(q))
+                        assert np.max(np.abs(q.T @ q - eye)) < 1e-12
+
+
+class TestGolubKahanSteps:
+    """The half-size steps of the Golub-Kahan blocks against an independent
+    exponential: ``fock.matrix_exponential`` of the generator built from
+    ``dense_reference.ladder_operators``."""
+
+    # odd dimensions give blocks with one row more than columns
+    DIMS = [63, 64, 65, 161, 512]
+    SQUEEZES = [(0.3, 0.0), (-0.35, 0.0), (0.3, 0.7), (-0.25, -1.9)]
+    SHIFTS = [0.8, -0.6, 0.5 - 0.4j, 0.7j]
+
+    @staticmethod
+    def _factor(dim):
+        """A rank-3 factor on the lowest 8 levels, complex in both parity
+        sectors, with unit trace."""
+        rng = np.random.default_rng(dim)
+        m = np.zeros((dim, 3), dtype=complex)
+        m[:8] = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        return m / np.linalg.norm(m)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_squeeze_matches_the_dense_exponential(self, dim):
+        a, adag = ladder_operators(dim)
+        m = self._factor(dim)
+        for r, theta in self.SQUEEZES:
+            xi = r * np.exp(2j * theta)
+            reference = fock.matrix_exponential(
+                0.5 * (np.conj(xi) * (a @ a) - xi * (adag @ adag)))
+            got = fock.squeeze_operator_exact(r, theta, dim)
+            assert np.max(np.abs(got - reference)) < 1e-13
+            step = fock.apply_squeeze(r, m, theta)
+            assert np.max(np.abs(step - reference @ m)) < 1e-13
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_displacement_matches_the_dense_exponential(self, dim):
+        a, adag = ladder_operators(dim)
+        m = self._factor(dim)
+        for alpha in self.SHIFTS:
+            reference = fock.matrix_exponential(
+                alpha * adag - np.conj(alpha) * a)
+            got = fock.displacement_operator_exact(alpha, dim)
+            assert np.max(np.abs(got - reference)) < 1e-13
+            step = fock.apply_displacement(alpha, m)
+            assert np.max(np.abs(step - reference @ m)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [63, 65, 161])
+    def test_odd_block_leaves_its_null_vector_unchanged(self, dim,
+                                                         monkeypatch):
+        # the null vector reaches the top levels, which the tail guard of
+        # a step rejects; the products alone are checked here
+        monkeypatch.setattr(fock, "_checked_factor", lambda m, out: out)
+        a, adag = ladder_operators(dim)
+        cases = [(fock.squeeze_basis(dim), 0.5 * (a @ a - adag @ adag),
+                  [partial(fock.apply_squeeze, r) for r in (0.3, -0.35)]),
+                 (fock.displacement_basis(dim), adag - a,
+                  [partial(fock.apply_displacement, x) for x in (0.8, -0.6)])]
+        odd = 0
+        for basis, generator, steps in cases:
+            for a_rows, _, u, _, sigma in basis:
+                if len(u) == len(sigma):
+                    continue
+                odd += 1
+                null = np.zeros((dim, 1), dtype=complex)
+                null[a_rows, 0] = u[:, -1]
+                # the generator of the real-amplitude steps annihilates it
+                assert np.max(np.abs(generator @ null)) < 1e-13
+                for step in steps:
+                    assert np.max(np.abs(step(null) - null)) < 1e-13
+        # an odd dim: one odd parity chain of H, and X itself
+        assert odd == 2
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bases_store_half_the_eigenvectors(self, dim):
+        # a dense eigenbasis of a block of m levels holds m^2 + m floats:
+        # dim^2 + dim for X, and one block per parity for H
+        chains = {fock.squeeze_basis: [(dim + 1) // 2, dim // 2],
+                  fock.displacement_basis: [dim]}
+        for basis_fn, sizes in chains.items():
+            eigenbasis = sum(m * m + m for m in sizes)
+            stored = sum(u.size + w.size + sigma.size
+                         for _, _, u, w, sigma in basis_fn(dim))
+            assert 0.5 * eigenbasis - dim < stored < 0.5 * eigenbasis + dim
 
 
 class TestLowRankFactor:
@@ -504,14 +590,18 @@ class TestLowRankFactor:
         assert np.array_equal(fock.apply_displacement(0.0, m), m)
         assert np.array_equal(fock.apply_displacement(0j, m), m)
 
-    def test_zero_steps_fetch_no_basis(self):
-        # a zero amplitude needs no eigenbasis, cold or cached
+    @pytest.mark.parametrize("dim", [63, 64, 65, 161, 512, 1000])
+    def test_zero_steps_fetch_no_basis(self, dim):
+        # a zero amplitude needs no basis, cold or cached
         lookups = [basis_fn.cache_info()[:2] for basis_fn in (
             fock.squeeze_basis, fock.displacement_basis)]
-        m = fock.thermal_factor(0.22, 1000)
-        assert fock.apply_squeeze(0.0, m) is not None
-        assert fock.apply_displacement(0j, m) is not None
-        assert fock.squeeze_operator_exact(0.0, dim=992).shape == (992, 992)
+        m = fock.thermal_factor(0.22, dim)
+        assert np.array_equal(fock.apply_squeeze(0.0, m, 0.7), m)
+        assert np.array_equal(fock.apply_squeeze(-0.0, m), m)
+        assert np.array_equal(fock.apply_displacement(0.0, m), m)
+        assert np.array_equal(fock.apply_displacement(-0j, m), m)
+        assert np.array_equal(fock.squeeze_operator_exact(0.0, dim=dim),
+                              np.eye(dim))
         assert [basis_fn.cache_info()[:2] for basis_fn in (
             fock.squeeze_basis, fock.displacement_basis)] == lookups
 
